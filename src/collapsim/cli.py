@@ -34,7 +34,7 @@ import math
 import multiprocessing
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,163 +80,6 @@ from .retrodiction import (
     stationary,
 )
 from .stats import PrngStream
-
-EXPERIMENTS = (
-    "lattice-run",
-    "lattice-batch",
-    "qmupl-run",
-    "qmupl-batch",
-    "markov-demo",
-    "energy-demo",
-)
-
-# ======================================================================
-# Configuration: defaults <- config file <- flags
-# ======================================================================
-
-_SCHEMA = {
-    "experiment": str,
-    "out": str,
-    "seed": int,
-    "runs": int,
-    "workers": int,
-    "lattice_n": int,
-    "collapse_x": float,
-    "theta": float,
-    "steps": int,
-    "initial": str,
-    "particle_column": int,
-    "g": float,
-    "mass": float,
-    "dt": float,
-    "n_steps": int,
-    "kernel_file": str,
-    "grid_half_width": int,
-    "step_variance": float,
-    "walk_steps": int,
-    "walk_runs": int,
-    "selection_tolerance": int,
-}
-
-DEFAULTS = {
-    "seed": 1,
-    "workers": 1,
-    # One-pass lattice figure: 16 columns, X = 0.5, theta = pi/4, 100 steps,
-    # single particle at column 11.
-    "lattice_n": 16,
-    "collapse_x": 0.5,
-    "theta": math.pi / 4.0,
-    "steps": 100,
-    "initial": "particle",
-    # Wave-packet figure parameters.
-    "g": 20.0,
-    "mass": 1.0,
-    "dt": 0.001,
-    "n_steps": 1000,
-    # Momentum-walk demo.
-    "grid_half_width": 60,
-    "step_variance": 0.5,
-    "walk_steps": 200,
-    "walk_runs": 2000,
-    "selection_tolerance": 1,
-}
-
-# Batch sizes match the reference histograms; energy-demo keeps the
-# wave-packet ensemble small enough for interactive use.
-_DEFAULT_RUNS = {"lattice-batch": 500, "qmupl-batch": 5000, "energy-demo": 200}
-
-
-def load_config_file(path: str) -> dict:
-    """Parse a key=value file; unknown keys and bad values name file:line."""
-    text = Path(path).read_text()
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _SCHEMA[key](value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: invalid {_SCHEMA[key].__name__} for {key}: {value!r}"
-            ) from None
-    return values
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="collapsim",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--out", help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, help="base seed; run i uses child stream i")
-    parser.add_argument("--runs", type=int, help="batch size")
-    parser.add_argument("--workers", type=int, help="worker processes for batches")
-    lattice = parser.add_argument_group("lattice")
-    lattice.add_argument("--lattice-n", type=int, help="number of columns (even, <= 16)")
-    lattice.add_argument("--collapse-x", type=float, help="jump strength X >= 0")
-    lattice.add_argument("--theta", type=float, help="vertex mixing angle (radians)")
-    lattice.add_argument("--steps", type=int, help="time steps")
-    lattice.add_argument("--initial", choices=("particle", "vacuum"))
-    lattice.add_argument("--particle-column", type=int)
-    packet = parser.add_argument_group("wave packet")
-    packet.add_argument("--g", type=float, help="collapse coupling")
-    packet.add_argument("--mass", type=float)
-    packet.add_argument("--dt", type=float, help="step size")
-    packet.add_argument("--n-steps", type=int, help="steps per trajectory")
-    demo = parser.add_argument_group("demos")
-    demo.add_argument("--kernel-file", help="CSV kernel for markov-demo")
-    demo.add_argument("--grid-half-width", type=int)
-    demo.add_argument("--step-variance", type=float)
-    demo.add_argument("--walk-steps", type=int)
-    demo.add_argument("--walk-runs", type=int)
-    demo.add_argument("--selection-tolerance", type=int)
-    parser.add_argument("--version", action="version", version=f"collapsim {__version__}")
-    return parser
-
-
-def resolve_params(args: argparse.Namespace) -> dict:
-    params = dict(DEFAULTS)
-    if args.config is not None:
-        params.update(load_config_file(args.config))
-    for key in _SCHEMA:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            params[key] = flag_value
-    experiment = params.get("experiment")
-    if experiment is None:
-        raise ConfigError("no experiment selected (use --experiment or an 'experiment=' line)")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}")
-    if "runs" not in params or params.get("runs") is None:
-        params["runs"] = _DEFAULT_RUNS.get(experiment, 1)
-    if params.get("out") is None:
-        raise ConfigError("no output directory (use --out or an 'out=' line)")
-    if params["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {params['workers']}")
-    if params["initial"] not in ("particle", "vacuum"):
-        raise ConfigError(f"initial must be 'particle' or 'vacuum', got {params['initial']!r}")
-    if params.get("particle_column") is None:
-        # Figure default is column 11 on the 16-column lattice; for other
-        # sizes fall back to a central column.
-        params["particle_column"] = 11 if params["lattice_n"] == 16 else params["lattice_n"] // 2 + 1
-    return params
-
-
-def _manifest_params(params: dict) -> dict:
-    # The worker count never changes artifact content, so leaving it out
-    # keeps outputs byte-identical across serial and parallel invocations.
-    return {k: v for k, v in params.items() if k not in ("out", "workers")}
 
 
 # ======================================================================
@@ -551,17 +394,168 @@ def run_energy_demo(params: dict, out: Path, manifest: Manifest) -> None:
 
 
 # ======================================================================
-# Entry point
+# Experiments and configuration keys: defaults <- config file <- flags
 # ======================================================================
 
-_RUNNERS = {
-    "lattice-run": run_lattice_run,
-    "lattice-batch": run_lattice_batch,
-    "qmupl-run": run_qmupl_run,
-    "qmupl-batch": run_qmupl_batch,
-    "markov-demo": run_markov_demo,
-    "energy-demo": run_energy_demo,
+
+class Experiment(NamedTuple):
+    """A runner and the batch size it uses when ``runs`` is unset."""
+
+    run: Callable[[dict, Path, Manifest], None]
+    default_runs: int
+
+
+# Batch sizes match the reference histograms; energy-demo keeps the
+# wave-packet ensemble small enough for interactive use.
+EXPERIMENTS = {
+    "lattice-run": Experiment(run_lattice_run, 1),
+    "lattice-batch": Experiment(run_lattice_batch, 500),
+    "qmupl-run": Experiment(run_qmupl_run, 1),
+    "qmupl-batch": Experiment(run_qmupl_batch, 5000),
+    "markov-demo": Experiment(run_markov_demo, 1),
+    "energy-demo": Experiment(run_energy_demo, 200),
 }
+
+
+class Key(NamedTuple):
+    """One configuration key: flag ``--a-b`` and config-file key ``a_b``.
+
+    A None default leaves the key unset unless given, and an unset key stays
+    out of the manifest; ``resolve_params`` derives ``runs`` and
+    ``particle_column`` when they stay unset.
+    """
+
+    name: str
+    type: type
+    default: object
+    help: str
+    group: str | None = None
+    choices: tuple | None = None
+
+
+_PER_EXPERIMENT_RUNS = ", ".join(
+    f"{name} {experiment.default_runs}"
+    for name, experiment in EXPERIMENTS.items()
+    if experiment.default_runs != 1
+)
+
+# Defaults reproduce the reference figures: the one-pass lattice, the wave
+# packet and the momentum walk.
+KEYS = (
+    Key("experiment", str, None, "experiment to run", choices=tuple(EXPERIMENTS)),
+    Key("out", str, None, "output directory (created if missing)"),
+    Key("seed", int, 1, "base seed; run i uses child stream i"),
+    Key("runs", int, None, f"batch size (default: {_PER_EXPERIMENT_RUNS}, otherwise 1)"),
+    Key("workers", int, 1, "worker processes for batches"),
+    Key("lattice_n", int, 16, "number of columns (even, <= 16)", "lattice"),
+    Key("collapse_x", float, 0.5, "jump strength X in [0, 1]", "lattice"),
+    Key("theta", float, math.pi / 4.0, "vertex mixing angle (radians)", "lattice"),
+    Key("steps", int, 100, "time steps", "lattice"),
+    Key("initial", str, "particle", "initial lattice state", "lattice", ("particle", "vacuum")),
+    Key(
+        "particle_column", int, None,
+        "column of the initial particle (default: 11 on 16 columns, else lattice_n // 2 + 1)",
+        "lattice",
+    ),
+    Key("g", float, 20.0, "collapse coupling", "wave packet"),
+    Key("mass", float, 1.0, "particle mass", "wave packet"),
+    Key("dt", float, 0.001, "step size", "wave packet"),
+    Key("n_steps", int, 1000, "steps per trajectory", "wave packet"),
+    Key("kernel_file", str, None, "CSV kernel for markov-demo (default: symmetric two-state flip)", "demos"),
+    Key("grid_half_width", int, 60, "momentum-walk grid half-width W", "demos"),
+    Key("step_variance", float, 0.5, "momentum-walk variance per step, in [0, 1]", "demos"),
+    Key("walk_steps", int, 200, "momentum-walk steps", "demos"),
+    Key("walk_runs", int, 2000, "momentum walkers per selection", "demos"),
+    Key("selection_tolerance", int, 1, "post-selection window around p = 0", "demos"),
+)
+
+_KEYS_BY_NAME = {key.name: key for key in KEYS}
+
+
+def load_config_file(path: str) -> dict:
+    """Parse a key=value file; unknown keys and bad values name file:line."""
+    text = Path(path).read_text()
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        name, sep, value = stripped.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        name = name.strip().replace("-", "_")
+        value = value.strip()
+        key = _KEYS_BY_NAME.get(name)
+        if key is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {name!r}")
+        try:
+            values[name] = key.type(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid {key.type.__name__} for {name}: {value!r}"
+            ) from None
+        if key.choices is not None and values[name] not in key.choices:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid {name} {value!r}; choose from {', '.join(key.choices)}"
+            )
+    return values
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="collapsim",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--config", help="key=value config file; flags override it")
+    groups = {None: parser}
+    for key in KEYS:
+        if key.group not in groups:
+            groups[key.group] = parser.add_argument_group(key.group)
+        shown = "" if key.default is None else f" (default: {key.default})"
+        groups[key.group].add_argument(
+            "--" + key.name.replace("_", "-"),
+            type=key.type,
+            choices=key.choices,
+            help=key.help + shown,
+        )
+    parser.add_argument("--version", action="version", version=f"collapsim {__version__}")
+    return parser
+
+
+def resolve_params(args: argparse.Namespace) -> dict:
+    params = {key.name: key.default for key in KEYS if key.default is not None}
+    if args.config is not None:
+        params.update(load_config_file(args.config))
+    for key in KEYS:
+        flag_value = getattr(args, key.name, None)
+        if flag_value is not None:
+            params[key.name] = flag_value
+    experiment = params.get("experiment")
+    if experiment is None:
+        raise ConfigError("no experiment selected (use --experiment or an 'experiment=' line)")
+    if params.get("runs") is None:
+        params["runs"] = EXPERIMENTS[experiment].default_runs
+    if params.get("out") is None:
+        raise ConfigError("no output directory (use --out or an 'out=' line)")
+    if params["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {params['workers']}")
+    if params.get("particle_column") is None:
+        # Figure default is column 11 on the 16-column lattice; for other
+        # sizes fall back to a central column.
+        params["particle_column"] = 11 if params["lattice_n"] == 16 else params["lattice_n"] // 2 + 1
+    return params
+
+
+def _manifest_params(params: dict) -> dict:
+    # The worker count never changes artifact content, so leaving it out
+    # keeps outputs byte-identical across serial and parallel invocations.
+    return {k: v for k, v in params.items() if k not in ("out", "workers")}
+
+
+# ======================================================================
+# Entry point
+# ======================================================================
 
 _DEGENERACY_ERRORS = (
     DegenerateTestError,
@@ -580,7 +574,7 @@ def _run(argv: Sequence[str] | None) -> int:
     manifest = Manifest(
         out, params["experiment"], _manifest_params(params), params["seed"], __version__
     )
-    _RUNNERS[params["experiment"]](params, out, manifest)
+    EXPERIMENTS[params["experiment"]].run(params, out, manifest)
     return 0
 
 

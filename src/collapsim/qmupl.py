@@ -70,6 +70,9 @@ class QmuplConfig:
     p0: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "m", "dt", "x0", "p0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.g > 0.0:
             raise ConfigError(f"g must be positive, got {self.g}")
         if not self.m > 0.0:

@@ -41,6 +41,7 @@ from .errors import (
     NoUniqueEquilibriumError,
     ResampleExhaustedError,
 )
+from .output import write_csv
 from .stats import PrngStream
 
 _COLUMN_SUM_TOL = 1e-12
@@ -212,10 +213,6 @@ def equilibrium_retrodiction(model: MarkovModel, p_e: Distribution) -> np.ndarra
     return model.kernel.T * probs[:, None] / probs[None, :]
 
 
-def _kernel_power(model: MarkovModel, exponent: int) -> np.ndarray:
-    return np.linalg.matrix_power(model.kernel, exponent)
-
-
 def smoothed_inference(
     model: MarkovModel, pre_select: SelectionSpec, observed: SelectionSpec, t1: int
 ) -> Distribution:
@@ -232,8 +229,8 @@ def smoothed_inference(
         raise ConfigError(f"need 0 < t1 < observed.time, got t1={t1}, tf={tf}")
     s0 = model.index_of(pre_select.state)
     j = model.index_of(observed.state)
-    forward = _kernel_power(model, t1)[:, s0]
-    backward = _kernel_power(model, tf - t1)[j, :]
+    forward = np.linalg.matrix_power(model.kernel, t1)[:, s0]
+    backward = np.linalg.matrix_power(model.kernel, tf - t1)[j, :]
     weights = backward * forward
     total = float(weights.sum())
     if total <= 0.0:
@@ -259,8 +256,8 @@ def postselected_prediction(
         raise ConfigError(f"need observed.time < t_minus_1 < 0, got t={t_minus_1}, tp={tp}")
     s0 = model.index_of(post_select.state)
     j = model.index_of(observed.state)
-    to_boundary = _kernel_power(model, -t_minus_1)[s0, :]
-    from_observation = _kernel_power(model, t_minus_1 - tp)[:, j]
+    to_boundary = np.linalg.matrix_power(model.kernel, -t_minus_1)[s0, :]
+    from_observation = np.linalg.matrix_power(model.kernel, t_minus_1 - tp)[:, j]
     weights = to_boundary * from_observation
     total = float(weights.sum())
     if total <= 0.0:
@@ -391,11 +388,11 @@ def momentum_walk_demo(
 
 def save_kernel(path: str | Path, model: MarkovModel) -> None:
     """Write the kernel as CSV; first column = target label, one column per source."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["target"] + [f"from_{s}" for s in model.states])
-        for j, label in enumerate(model.states):
-            writer.writerow([label] + [repr(float(v)) for v in model.kernel[j, :]])
+    write_csv(
+        path,
+        ["target"] + [f"from_{s}" for s in model.states],
+        ([label, *row] for label, row in zip(model.states, model.kernel)),
+    )
 
 
 def load_kernel(path: str | Path) -> MarkovModel:
@@ -421,8 +418,4 @@ def load_kernel(path: str | Path) -> MarkovModel:
 
 def save_distribution(path: str | Path, model: MarkovModel, dist: Distribution) -> None:
     """Write a distribution as two-column CSV (state, probability)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["state", "probability"])
-        for label, value in zip(model.states, dist.probabilities):
-            writer.writerow([label, repr(float(value))])
+    write_csv(path, ("state", "probability"), zip(model.states, dist.probabilities))

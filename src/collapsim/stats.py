@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .errors import InsufficientDataError
+
 _MASK64 = (1 << 64) - 1
 
 # SplitMix64 constants: golden-ratio increment and the two finalizer
@@ -218,8 +220,6 @@ def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> TestRepor
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n), and the p-value uses
     the large-sample Kolmogorov distribution of sqrt(n) * D.
     """
-    from .errors import InsufficientDataError
-
     n = len(sample)
     if n < 10:
         raise InsufficientDataError(f"KS test needs at least 10 samples, got {n}")

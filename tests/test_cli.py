@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from collapsim.cli import main
+from collapsim.cli import KEYS, build_parser, main, resolve_params
 from collapsim.output import read_pgm
 from collapsim.retrodiction import load_kernel
 
@@ -260,6 +260,70 @@ def test_config_file_errors_carry_file_and_line(tmp_path, capsys):
     assert "bad.cfg:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["experiment=lattice-rn", "initial=wave"])
+def test_config_file_choice_errors_carry_file_and_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed=3\n{line}\n")
+    rc = run_cli("--config", cfg, "--experiment", "qmupl-run", "--out", tmp_path / "out")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg:2" in err
+    assert line.partition("=")[2] in err
+
+
+# One non-default value per configuration key, as the program resolves it.
+KEY_SAMPLES = {
+    "experiment": "energy-demo",
+    "out": "out-dir",
+    "seed": 7,
+    "runs": 9,
+    "workers": 2,
+    "lattice_n": 8,
+    "collapse_x": 0.25,
+    "theta": 0.5,
+    "steps": 12,
+    "initial": "vacuum",
+    "particle_column": 3,
+    "g": 5.5,
+    "mass": 2.0,
+    "dt": 0.01,
+    "n_steps": 30,
+    "kernel_file": "chain.csv",
+    "grid_half_width": 9,
+    "step_variance": 0.75,
+    "walk_steps": 11,
+    "walk_runs": 13,
+    "selection_tolerance": 2,
+}
+
+
+@pytest.mark.parametrize("separator", ["_", "-"])
+def test_flag_and_config_file_resolve_every_key_alike(tmp_path, separator):
+    assert set(KEY_SAMPLES) == {key.name for key in KEYS}
+    flags = []
+    for name, value in KEY_SAMPLES.items():
+        flags += ["--" + name.replace("_", "-"), str(value)]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "# every key\n"
+        + "".join(f"{name.replace('_', separator)} = {value}\n" for name, value in KEY_SAMPLES.items())
+    )
+    parser = build_parser()
+    from_flags = resolve_params(parser.parse_args(flags))
+    from_file = resolve_params(parser.parse_args(["--config", str(cfg)]))
+    assert from_flags == from_file == KEY_SAMPLES
+    for name, value in KEY_SAMPLES.items():
+        assert type(from_file[name]) is type(value), name
+
+
+@pytest.mark.parametrize("flag", ["--g", "--dt", "--mass"])
+def test_non_finite_wave_packet_parameter_is_a_config_error(tmp_path, capsys, flag):
+    rc = run_cli("--experiment", "qmupl-run", "--out", tmp_path, flag, "inf")
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lattice_m=4\n")
@@ -337,3 +401,33 @@ def test_manifest_covers_every_artifact(tmp_path):
         assert line["experiment"] == "qmupl-run"
         assert "out" not in line["parameters"]
         assert "workers" not in line["parameters"]
+
+
+def test_manifest_parameters_are_pinned(tmp_path):
+    # Exactly the resolved keys: unset None-default keys (kernel_file) and the
+    # invocation-only ones (out, workers, config) stay out.
+    rc = run_cli(
+        "--experiment", "qmupl-run", "--out", tmp_path, "--seed", "3",
+        "--n-steps", "40",
+    )
+    assert rc == 0
+    assert manifest_lines(tmp_path)[0]["parameters"] == {
+        "collapse_x": 0.5,
+        "dt": 0.001,
+        "experiment": "qmupl-run",
+        "g": 20.0,
+        "grid_half_width": 60,
+        "initial": "particle",
+        "lattice_n": 16,
+        "mass": 1.0,
+        "n_steps": 40,
+        "particle_column": 11,
+        "runs": 1,
+        "seed": 3,
+        "selection_tolerance": 1,
+        "step_variance": 0.5,
+        "steps": 100,
+        "theta": 0.7853981633974483,
+        "walk_runs": 2000,
+        "walk_steps": 200,
+    }

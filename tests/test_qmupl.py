@@ -43,6 +43,13 @@ def test_config_validation():
         QmuplConfig(g=20.0, m=1.0, dt=0.001, n=MAX_STEPS + 1)
 
 
+@pytest.mark.parametrize("field", ["g", "m", "dt", "x0", "p0"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        dataclasses.replace(QmuplConfig(g=20.0, m=1.0, dt=0.001, n=10), **{field: value})
+
+
 def test_step_forward_hand_values():
     state = step_forward(WavePacketState(x=1.0, p=2.0), dB=0.1, config=CONFIG)
     assert state.x == pytest.approx(1.0 + 2.0 * 0.001 + 0.1)
