@@ -22,6 +22,12 @@ base seed, so any file can be regenerated exactly.  Repeated invocations
 with the same configuration and seed produce byte-identical outputs,
 including under --workers parallelism.
 
+Each runner is a function of the resolved parameters alone: it computes
+everything first, then returns its artifacts as (name, write, *args)
+entries in manifest order, and Manifest.emit writes and lists them.  A run
+that fails with a configuration or degeneracy error therefore writes
+nothing.
+
 Exit codes: 0 success, 2 configuration error, 3 statistical degeneracy
 (no usable events, no survivors, no unique equilibrium), 4 I/O error.
 """
@@ -29,9 +35,9 @@ Exit codes: 0 success, 2 configuration error, 3 statistical degeneracy
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -57,7 +63,7 @@ from .lattice import (
     single_particle_state,
 )
 from .lattice_analysis import pvalue_uniformity, reversal_chi_squared
-from .output import Manifest, write_csv, write_pgm
+from .output import Manifest, write_csv, write_json, write_pgm
 from .qmupl import (
     QmuplConfig,
     ensemble_energy_curve,
@@ -125,24 +131,10 @@ def _link_rows(record) -> list:
     return rows
 
 
-def run_lattice_run(params: dict, out: Path, manifest: Manifest) -> None:
+def run_lattice_run(params: dict) -> list:
     config = _lattice_config(params)
     record, final = run_forward(config, _lattice_initial(params), PrngStream(params["seed"]))
     back, _ = run_backward(config, record.field, conjugate(final))
-
-    for name, matrix, kind in (
-        ("occupancy_forward.pgm", record.occupancy, "occupancy"),
-        ("field.pgm", record.field.alpha.astype(float), "field"),
-        ("occupancy_backward.pgm", back.occupancy, "occupancy"),
-    ):
-        write_pgm(out / name, _flip_time(matrix))
-        manifest.record(name)
-    header = ("step", "column", "probability", "alpha", "occupancy")
-    write_csv(out / "links_forward.csv", header, _link_rows(record))
-    manifest.record("links_forward.csv")
-    write_csv(out / "links_backward.csv", header, _link_rows(back))
-    manifest.record("links_backward.csv")
-
     try:
         report = reversal_chi_squared(record.field, back.probabilities)
         payload = {
@@ -155,8 +147,15 @@ def run_lattice_run(params: dict, out: Path, manifest: Manifest) -> None:
         }
     except DegenerateTestError as exc:
         payload = {"degenerate": True, "reason": str(exc)}
-    (out / "chi_squared.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    manifest.record("chi_squared.json")
+    header = ("step", "column", "probability", "alpha", "occupancy")
+    return [
+        ("occupancy_forward.pgm", write_pgm, _flip_time(record.occupancy)),
+        ("field.pgm", write_pgm, _flip_time(record.field.alpha.astype(float))),
+        ("occupancy_backward.pgm", write_pgm, _flip_time(back.occupancy)),
+        ("links_forward.csv", write_csv, header, _link_rows(record)),
+        ("links_backward.csv", write_csv, header, _link_rows(back)),
+        ("chi_squared.json", write_json, payload),
+    ]
 
 
 def _lattice_batch_worker(task) -> tuple:
@@ -190,9 +189,10 @@ def _fan_out(worker, params: dict) -> list[tuple]:
 
     Each task depends only on (base seed, run index), so the result list is
     identical for any worker count; outputs are collected in index order.
+    No more processes start than there are runs or CPUs.
     """
     tasks = [(i, params["seed"], params) for i in range(params["runs"])]
-    workers = min(params["workers"], params["runs"])
+    workers = min(params["workers"], params["runs"], os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
     chunk = max(1, params["runs"] // (workers * 8))
@@ -200,7 +200,7 @@ def _fan_out(worker, params: dict) -> list[tuple]:
         return list(pool.imap(worker, tasks, chunksize=chunk))
 
 
-def _emit_batch_reports(results: list[tuple], params: dict, out: Path, manifest: Manifest) -> None:
+def _batch_reports(results: list[tuple], params: dict) -> list:
     """Shared tail of the two batch experiments: p-value list, histogram, report."""
     rows = []
     retained = []
@@ -212,17 +212,8 @@ def _emit_batch_reports(results: list[tuple], params: dict, out: Path, manifest:
         else:
             retained.append(p_value)
             rows.append((index, statistic, "" if dof is None else dof, p_value))
-    write_csv(out / "pvalues.csv", ("run", "statistic", "dof", "p_value"), rows)
-    manifest.record("pvalues.csv")
-
     edges = np.linspace(0.0, 1.0, 21)
     counts, _ = np.histogram(retained, bins=edges)
-    write_csv(
-        out / "histogram.csv",
-        ("bin_low", "bin_high", "count"),
-        [(edges[i], edges[i + 1], int(counts[i])) for i in range(20)],
-    )
-    manifest.record("histogram.csv")
 
     # Keep every expected bin count >= 5 so the uniformity chi-squared is valid
     # even for small smoke batches.
@@ -243,17 +234,20 @@ def _emit_batch_reports(results: list[tuple], params: dict, out: Path, manifest:
         payload["bin_count"] = report.bin_count
     except (InsufficientDataError, DegenerateTestError) as exc:
         payload["error"] = str(exc)
-    (out / "uniformity.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    manifest.record("uniformity.json")
+    return [
+        ("pvalues.csv", write_csv, ("run", "statistic", "dof", "p_value"), rows),
+        ("histogram.csv", write_csv, ("bin_low", "bin_high", "count"),
+         [(edges[i], edges[i + 1], int(counts[i])) for i in range(20)]),
+        ("uniformity.json", write_json, payload),
+    ]
 
 
-def run_lattice_batch(params: dict, out: Path, manifest: Manifest) -> None:
+def run_lattice_batch(params: dict) -> list:
     if params["runs"] < 50:
         raise ConfigError(
             f"lattice-batch needs runs >= 50 for a meaningful uniformity test, got {params['runs']}"
         )
-    results = _fan_out(_lattice_batch_worker, params)
-    _emit_batch_reports(results, params, out, manifest)
+    return _batch_reports(_fan_out(_lattice_batch_worker, params), params)
 
 
 # ======================================================================
@@ -265,37 +259,26 @@ def _qmupl_config(params: dict) -> QmuplConfig:
     return QmuplConfig(g=params["g"], m=params["mass"], dt=params["dt"], n=params["n_steps"])
 
 
-def run_qmupl_run(params: dict, out: Path, manifest: Manifest) -> None:
+def run_qmupl_run(params: dict) -> list:
     config = _qmupl_config(params)
     trajectory = simulate_forward(config, PrngStream(params["seed"]))
-    n = config.n
-    write_csv(
-        out / "trajectory.csv",
-        ("step", "time", "x", "p"),
-        [(i, i * config.dt, trajectory.x[i], trajectory.p[i]) for i in range(n + 1)],
-    )
-    manifest.record("trajectory.csv")
-    write_csv(
-        out / "collapse_centres.csv",
-        ("step", "time", "z", "dB"),
-        [(i, i * config.dt, trajectory.z[i], trajectory.dB[i]) for i in range(n)],
-    )
-    manifest.record("collapse_centres.csv")
-
     back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
-    write_csv(
-        out / "reversal.csv",
-        ("step", "time", "x", "p"),
-        [(i, i * config.dt, back.x[i], back.p[i]) for i in range(n + 1)],
-    )
-    manifest.record("reversal.csv")
+    n, dt = config.n, config.dt
+    header = ("step", "time", "x", "p")
+    return [
+        ("trajectory.csv", write_csv, header,
+         [(i, i * dt, trajectory.x[i], trajectory.p[i]) for i in range(n + 1)]),
+        ("collapse_centres.csv", write_csv, ("step", "time", "z", "dB"),
+         [(i, i * dt, trajectory.z[i], trajectory.dB[i]) for i in range(n)]),
+        ("reversal.csv", write_csv, header,
+         [(i, i * dt, back.x[i], back.p[i]) for i in range(n + 1)]),
+    ]
 
 
-def run_qmupl_batch(params: dict, out: Path, manifest: Manifest) -> None:
+def run_qmupl_batch(params: dict) -> list:
     if params["runs"] < 2:
         raise ConfigError(f"qmupl-batch needs runs >= 2, got {params['runs']}")
-    results = _fan_out(_qmupl_batch_worker, params)
-    _emit_batch_reports(results, params, out, manifest)
+    return _batch_reports(_fan_out(_qmupl_batch_worker, params), params)
 
 
 # ======================================================================
@@ -310,30 +293,20 @@ _DEFAULT_CHAIN = MarkovModel(
 )
 
 
-def run_markov_demo(params: dict, out: Path, manifest: Manifest) -> None:
+def run_markov_demo(params: dict) -> list:
     if params.get("kernel_file"):
         model = load_kernel(params["kernel_file"])
     else:
         model = _DEFAULT_CHAIN
-    save_kernel(out / "kernel.csv", model)
-    manifest.record("kernel.csv")
-
     equilibrium = stationary(model)
-    save_distribution(out / "stationary.csv", model, equilibrium)
-    manifest.record("stationary.csv")
-
     reverse = equilibrium_retrodiction(model, equilibrium)
-    save_kernel(out / "reverse_kernel.csv", MarkovModel(states=model.states, kernel=reverse))
-    manifest.record("reverse_kernel.csv")
 
     uniform = Distribution.uniform(model.size)
-    rows = []
+    retrodiction_rows = []
     for j, observed_label in enumerate(model.states):
         posterior = retrodict(model, uniform, j)
         for i, source_label in enumerate(model.states):
-            rows.append((observed_label, source_label, posterior.probabilities[i]))
-    write_csv(out / "retrodiction.csv", ("observed", "source", "posterior"), rows)
-    manifest.record("retrodiction.csv")
+            retrodiction_rows.append((observed_label, source_label, posterior.probabilities[i]))
 
     # Two-time conditioning on a 4-step window: pin the first state at the
     # boundary (time 0), observe the last state at the far end, and report
@@ -341,13 +314,18 @@ def run_markov_demo(params: dict, out: Path, manifest: Manifest) -> None:
     first, last = 0, model.size - 1
     smoothed = smoothed_inference(model, SelectionSpec(0, first), SelectionSpec(4, last), 2)
     mirrored = postselected_prediction(model, SelectionSpec(0, first), SelectionSpec(-4, last), -2)
-    rows = []
+    selection_rows = []
     for label, value in zip(model.states, smoothed.probabilities):
-        rows.append(("smoothed", 2, label, value))
+        selection_rows.append(("smoothed", 2, label, value))
     for label, value in zip(model.states, mirrored.probabilities):
-        rows.append(("postselected", -2, label, value))
-    write_csv(out / "selection.csv", ("kind", "time", "state", "probability"), rows)
-    manifest.record("selection.csv")
+        selection_rows.append(("postselected", -2, label, value))
+    return [
+        ("kernel.csv", save_kernel, model),
+        ("stationary.csv", save_distribution, model, equilibrium),
+        ("reverse_kernel.csv", save_kernel, MarkovModel(states=model.states, kernel=reverse)),
+        ("retrodiction.csv", write_csv, ("observed", "source", "posterior"), retrodiction_rows),
+        ("selection.csv", write_csv, ("kind", "time", "state", "probability"), selection_rows),
+    ]
 
 
 def _walk_rows(result) -> list:
@@ -363,7 +341,7 @@ def _walk_rows(result) -> list:
     ]
 
 
-def run_energy_demo(params: dict, out: Path, manifest: Manifest) -> None:
+def run_energy_demo(params: dict) -> list:
     root = PrngStream(params["seed"])
     walk_args = (
         params["grid_half_width"],
@@ -371,26 +349,19 @@ def run_energy_demo(params: dict, out: Path, manifest: Manifest) -> None:
         params["walk_steps"],
         params["walk_runs"],
     )
-    header = ("t", "mean_energy_forward", "mean_energy_reverse", "standard_error", "survivors")
     pre = momentum_walk_demo(*walk_args, "pre", root.split(0))
-    write_csv(out / "walk_pre.csv", header, _walk_rows(pre))
-    manifest.record("walk_pre.csv")
     post = momentum_walk_demo(
         *walk_args, "post", root.split(1), post_tolerance=params["selection_tolerance"]
     )
-    write_csv(out / "walk_post.csv", header, _walk_rows(post))
-    manifest.record("walk_post.csv")
-
     curve = ensemble_energy_curve(_qmupl_config(params), params["runs"], root.split(2))
-    write_csv(
-        out / "qmupl_energy.csv",
-        ("step", "time", "mean_p_squared", "standard_error", "runs"),
-        [
-            (i, curve.times[i], curve.mean_p_squared[i], curve.standard_error[i], curve.runs)
-            for i in range(curve.times.size)
-        ],
-    )
-    manifest.record("qmupl_energy.csv")
+    header = ("t", "mean_energy_forward", "mean_energy_reverse", "standard_error", "survivors")
+    return [
+        ("walk_pre.csv", write_csv, header, _walk_rows(pre)),
+        ("walk_post.csv", write_csv, header, _walk_rows(post)),
+        ("qmupl_energy.csv", write_csv, ("step", "time", "mean_p_squared", "standard_error", "runs"),
+         [(i, curve.times[i], curve.mean_p_squared[i], curve.standard_error[i], curve.runs)
+          for i in range(curve.times.size)]),
+    ]
 
 
 # ======================================================================
@@ -399,9 +370,13 @@ def run_energy_demo(params: dict, out: Path, manifest: Manifest) -> None:
 
 
 class Experiment(NamedTuple):
-    """A runner and the batch size it uses when ``runs`` is unset."""
+    """A runner and the batch size it uses when ``runs`` is unset.
 
-    run: Callable[[dict, Path, Manifest], None]
+    ``run(params)`` returns the ``(name, write, *args)`` artifacts that
+    :meth:`Manifest.emit` writes and lists.
+    """
+
+    run: Callable[[dict], list]
     default_runs: int
 
 
@@ -446,7 +421,7 @@ KEYS = (
     Key("out", str, None, "output directory (created if missing)"),
     Key("seed", int, 1, "base seed; run i uses child stream i"),
     Key("runs", int, None, f"batch size (default: {_PER_EXPERIMENT_RUNS}, otherwise 1)"),
-    Key("workers", int, 1, "worker processes for batches"),
+    Key("workers", int, 1, "worker processes for batches (at most the CPU count)"),
     Key("lattice_n", int, 16, "number of columns (even, <= 16)", "lattice"),
     Key("collapse_x", float, 0.5, "jump strength X in [0, 1]", "lattice"),
     Key("theta", float, math.pi / 4.0, "vertex mixing angle (radians)", "lattice"),
@@ -574,7 +549,7 @@ def _run(argv: Sequence[str] | None) -> int:
     manifest = Manifest(
         out, params["experiment"], _manifest_params(params), params["seed"], __version__
     )
-    EXPERIMENTS[params["experiment"]].run(params, out, manifest)
+    manifest.emit(EXPERIMENTS[params["experiment"]].run(params))
     return 0
 
 

@@ -11,15 +11,21 @@ Conventions shared by all emitters:
   (pixel = round(255 * (1 - value))), matching the convention that occupied
   sites print dark.
 
+* JSON reports are written with sorted keys, two-space indents and a
+  trailing newline.
+
 * Every artifact gets one JSON line in ``manifest.jsonl`` recording the
   experiment name, full parameter set, base seed, artifact filename, and
-  package version — enough to replay the file exactly.
+  package version — enough to replay the file exactly.  :meth:`Manifest.emit`
+  lands each artifact under a temporary name, renames it into place, and
+  only then appends its line, so every listed artifact is complete.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -61,6 +67,11 @@ def write_pgm(path: str | Path, values: np.ndarray, invert: bool = True) -> None
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         handle.write(pixels.tobytes())
+
+
+def write_json(path: str | Path, payload: Mapping) -> None:
+    """Write a JSON report; see module docstring for format rules."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
@@ -115,3 +126,20 @@ class Manifest:
         )
         with open(self.path, mode) as handle:
             handle.write(line + "\n")
+
+    def emit(self, artifacts: Iterable[Sequence]) -> None:
+        """Land each ``(name, write, *args)`` artifact, then record it.
+
+        ``write(path, *args)`` fills ``name + ".part"``, which is renamed onto
+        ``name``; a write that raises leaves no file and no manifest line.
+        """
+        for name, write, *args in artifacts:
+            final = self.path.parent / name
+            part = final.with_name(name + ".part")
+            try:
+                write(part, *args)
+                os.replace(part, final)
+            except BaseException:
+                part.unlink(missing_ok=True)
+                raise
+            self.record(name)

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from collapsim.lattice import QuantumState
 from collapsim.stats import PrngStream
 
 GOLDEN_SEED = 20260815
@@ -10,11 +8,3 @@ GOLDEN_SEED = 20260815
 @pytest.fixture
 def rng():
     return PrngStream(GOLDEN_SEED)
-
-
-def random_state(n_columns: int, np_rng: np.random.Generator) -> QuantumState:
-    """Normalized dense state with Gaussian-random amplitudes."""
-    dim = 1 << n_columns
-    amps = np_rng.normal(size=dim) + 1j * np_rng.normal(size=dim)
-    amps /= np.linalg.norm(amps)
-    return QuantumState(amps)

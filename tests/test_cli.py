@@ -7,13 +7,19 @@ image dimensions.
 """
 
 import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from collapsim.cli import KEYS, build_parser, main, resolve_params
-from collapsim.output import read_pgm
+from collapsim import cli
+from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
+from collapsim.output import read_pgm, write_csv
 from collapsim.retrodiction import load_kernel
+
+from test_acceptance import SMALL_RUNS
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -193,6 +199,7 @@ def test_markov_demo_identity_kernel_exits_degenerate(tmp_path, capsys):
     )
     assert rc == 3
     assert "equilibrium" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_energy_demo_curve_shapes(tmp_path):
@@ -231,6 +238,20 @@ def test_energy_demo_zero_variance_is_flat(tmp_path):
     post = np.genfromtxt(tmp_path / "walk_post.csv", delimiter=",", names=True)
     assert np.all(pre["mean_energy_forward"] == 0.0)
     assert np.all(post["mean_energy_forward"] == post["mean_energy_forward"][0])
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (("--runs", "1"), 2),
+        (("--step-variance", "1.0", "--walk-runs", "3", "--selection-tolerance", "0"), 3),
+    ],
+    ids=["one-run", "no-survivors"],
+)
+def test_energy_demo_failure_writes_nothing(tmp_path, flags, code):
+    out = tmp_path / "out"
+    assert run_cli("--experiment", "energy-demo", "--out", out, *flags) == code
+    assert list(out.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -386,19 +407,29 @@ def test_rerun_into_same_directory_rewrites_manifest(tmp_path):
     assert (tmp_path / "manifest.jsonl").read_bytes() == once
 
 
-def test_manifest_covers_every_artifact(tmp_path):
+def readme_artifacts() -> dict:
+    """The README's artifact table: experiment -> file names in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {
+        experiment: re.findall(r"`([^`]+)`", files)
+        for experiment, files in re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", text, re.M)
+    }
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_manifest_covers_every_artifact(tmp_path, experiment):
     rc = run_cli(
-        "--experiment", "qmupl-run", "--out", tmp_path, "--seed", "3",
-        "--n-steps", "40",
+        "--experiment", experiment, "--out", tmp_path, "--seed", "3", *SMALL_RUNS[experiment],
     )
     assert rc == 0
     lines = manifest_lines(tmp_path)
-    listed = {line["artifact"] for line in lines}
+    listed = [line["artifact"] for line in lines]
     emitted = {p.name for p in tmp_path.iterdir()} - {"manifest.jsonl"}
-    assert listed == emitted
+    assert set(listed) == emitted
+    assert listed == readme_artifacts()[experiment]
     for line in lines:
         assert set(line) == {"artifact", "experiment", "parameters", "seed", "version"}
-        assert line["experiment"] == "qmupl-run"
+        assert line["experiment"] == experiment
         assert "out" not in line["parameters"]
         assert "workers" not in line["parameters"]
 
@@ -431,3 +462,47 @@ def test_manifest_parameters_are_pinned(tmp_path):
         "walk_runs": 2000,
         "walk_steps": 200,
     }
+
+
+def test_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):
+    def write_then_fail(path, header, rows):
+        if Path(path).name.startswith("collapse_centres.csv"):
+            Path(path).write_text("step,time,z,dB\r\n0,")
+            raise OSError("disk full")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", write_then_fail)
+    rc = run_cli("--experiment", "qmupl-run", "--out", tmp_path, "--n-steps", "40")
+    assert rc == 4
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "trajectory.csv"]
+    assert [line["artifact"] for line in manifest_lines(tmp_path)] == ["trajectory.csv"]
+
+
+# ----------------------------------------------------------------------
+# worker pool
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (16, [10]), (1, []), (None, [])])
+def test_workers_are_capped_at_cpu_count(monkeypatch, cpus, pools):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, worker, tasks, chunksize=1):
+            return map(worker, tasks)
+
+    monkeypatch.setattr(cli, "multiprocessing", SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    results = cli._fan_out(lambda task: task[:2], {"seed": 5, "runs": 10, "workers": 64})
+    assert started == pools
+    assert results == [(i, 5) for i in range(10)]

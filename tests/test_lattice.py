@@ -25,7 +25,14 @@ from collapsim.lattice import (
 )
 from collapsim.stats import PrngStream
 
-from conftest import random_state
+
+def random_state(n_columns: int, np_rng: np.random.Generator) -> QuantumState:
+    """Normalized dense state with Gaussian-random amplitudes."""
+    dim = 1 << n_columns
+    amps = np_rng.normal(size=dim) + 1j * np_rng.normal(size=dim)
+    amps /= np.linalg.norm(amps)
+    return QuantumState(amps)
+
 
 # ----------------------------------------------------------------------
 # Basis bookkeeping
