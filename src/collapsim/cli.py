@@ -131,22 +131,28 @@ def _link_rows(record) -> list:
     return rows
 
 
-def run_lattice_run(params: dict) -> list:
+def _lattice_reversal(params: dict, stream: PrngStream) -> tuple:
+    """Forward pass, conjugate hand-off, backward replay and reversal test.
+
+    Returns both records and the chi-squared report, or the
+    DegenerateTestError in its place when no event is usable.
+    """
     config = _lattice_config(params)
-    record, final = run_forward(config, _lattice_initial(params), PrngStream(params["seed"]))
+    record, final = run_forward(config, _lattice_initial(params), stream)
     back, _ = run_backward(config, record.field, conjugate(final))
     try:
-        report = reversal_chi_squared(record.field, back.probabilities)
-        payload = {
-            "degenerate": False,
-            "statistic": report.statistic,
-            "dof": report.dof,
-            "p_value": report.p_value,
-            "events_total": report.events_total,
-            "events_retained": report.events_retained,
-        }
+        return record, back, reversal_chi_squared(record.field, back.probabilities)
     except DegenerateTestError as exc:
-        payload = {"degenerate": True, "reason": str(exc)}
+        return record, back, exc
+
+
+def run_lattice_run(params: dict) -> list:
+    record, back, report = _lattice_reversal(params, PrngStream(params["seed"]))
+    if isinstance(report, DegenerateTestError):
+        payload = {"degenerate": True, "reason": str(report)}
+    else:
+        fields = ("statistic", "dof", "p_value", "events_total", "events_retained")
+        payload = {"degenerate": False, **{name: getattr(report, name) for name in fields}}
     header = ("step", "column", "probability", "alpha", "occupancy")
     return [
         ("occupancy_forward.pgm", write_pgm, _flip_time(record.occupancy)),
@@ -160,23 +166,16 @@ def run_lattice_run(params: dict) -> list:
 
 def _lattice_batch_worker(task) -> tuple:
     index, seed, params = task
-    config = _lattice_config(params)
-    stream = PrngStream(seed).split(index)
-    record, final = run_forward(config, _lattice_initial(params), stream)
-    back, _ = run_backward(config, record.field, conjugate(final))
-    try:
-        report = reversal_chi_squared(record.field, back.probabilities)
-        return index, report.statistic, report.dof, report.p_value
-    except DegenerateTestError:
+    _, _, report = _lattice_reversal(params, PrngStream(seed).split(index))
+    if isinstance(report, DegenerateTestError):
         return index, None, None, None
+    return index, report.statistic, report.dof, report.p_value
 
 
 def _qmupl_batch_worker(task) -> tuple:
     index, seed, params = task
     config = _qmupl_config(params)
-    stream = PrngStream(seed).split(index)
-    trajectory = simulate_forward(config, stream)
-    back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
+    _, back = _qmupl_reversal(config, PrngStream(seed).split(index))
     try:
         report = normality_test(back.dB, config.dt)
         return index, report.statistic, None, report.p_value
@@ -221,16 +220,9 @@ def _batch_reports(results: list[tuple], params: dict) -> list:
     payload: dict = {"runs": params["runs"], "degenerate": degenerate, "retained": len(retained)}
     try:
         report = pvalue_uniformity(retained, bin_count=bin_count)
-        payload["chi_squared"] = {
-            "statistic": report.chi_squared.statistic,
-            "p_value": report.chi_squared.p_value,
-            "method": report.chi_squared.method,
-        }
-        payload["ks"] = {
-            "statistic": report.ks.statistic,
-            "p_value": report.ks.p_value,
-            "method": report.ks.method,
-        }
+        for name in ("chi_squared", "ks"):
+            test = getattr(report, name)
+            payload[name] = {"statistic": test.statistic, "p_value": test.p_value, "method": test.method}
         payload["bin_count"] = report.bin_count
     except (InsufficientDataError, DegenerateTestError) as exc:
         payload["error"] = str(exc)
@@ -259,10 +251,15 @@ def _qmupl_config(params: dict) -> QmuplConfig:
     return QmuplConfig(g=params["g"], m=params["mass"], dt=params["dt"], n=params["n_steps"])
 
 
+def _qmupl_reversal(config: QmuplConfig, stream: PrngStream) -> tuple:
+    """A forward trajectory and its back-solve from the final state."""
+    trajectory = simulate_forward(config, stream)
+    return trajectory, reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
+
+
 def run_qmupl_run(params: dict) -> list:
     config = _qmupl_config(params)
-    trajectory = simulate_forward(config, PrngStream(params["seed"]))
-    back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
+    trajectory, back = _qmupl_reversal(config, PrngStream(params["seed"]))
     n, dt = config.n, config.dt
     header = ("step", "time", "x", "p")
     return [
@@ -342,6 +339,9 @@ def _walk_rows(result) -> list:
 
 
 def run_energy_demo(params: dict) -> list:
+    # ensemble_energy_curve makes the same check, but only after both walks.
+    if params["runs"] < 2:
+        raise ConfigError(f"need at least 2 runs for a standard error, got {params['runs']}")
     root = PrngStream(params["seed"])
     walk_args = (
         params["grid_half_width"],

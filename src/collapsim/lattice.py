@@ -31,11 +31,12 @@ One time step interleaves two kinds of events, swept left to right:
   jump; sampling uses only norm ratios, so this is purely a numerical-
   hygiene choice.
 
-Reverse-time runs replay a recorded field anti-chronologically on the
-complex-conjugated final state, reusing the same vertex and jump matrices
-(the jumps are real; conjugation is absorbed once at the hand-off), visiting
-each step's vertices and links in exactly reversed order and recording the
-link probabilities conditioned on everything later in coordinate time.
+Forward and reverse-time runs are one pass over the same list of events.
+A reverse-time run walks the forward event order reversed, with the field
+fixed: it replays the recorded field on the complex-conjugated final state,
+reusing the same vertex and jump matrices (the jumps are real; conjugation
+is absorbed once at the hand-off), and records the link probabilities
+conditioned on everything later in coordinate time.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class QuantumState:
         n_columns = dim.bit_length() - 1
         if dim < 4 or dim != 1 << n_columns or n_columns % 2 or n_columns > MAX_COLUMNS:
             raise DimensionError(
-                f"amplitude vector must have length 2**n for even n in 4..{MAX_COLUMNS}, got shape {self.amplitudes.shape}"
+                f"amplitude vector must have length 2**n for even n in 2..{MAX_COLUMNS}, got shape {self.amplitudes.shape}"
             )
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "norm_squared", float(np.vdot(amps, amps).real))
@@ -333,42 +334,55 @@ def _check_run_inputs(config: LatticeConfig, state: QuantumState, role: str) -> 
         raise InvalidStateError(f"{role} state must be normalized, |psi|^2 = {state.norm_squared}")
 
 
+def _pass(config: LatticeConfig, amps: np.ndarray, alpha_at, backward: bool = False):
+    """Walk a run's events on ``amps`` in place, in forward or reversed order.
+
+    Forward, each step sweeps its vertices left to right: the vertex, then
+    its left link, then its right link.  At a link the Born weight of
+    ``alpha = 1`` is evaluated, ``alpha_at(t, slot, p_one)`` gives the field
+    value, the jump is applied and the state renormalized.  Returns the
+    per-link probabilities and the occupancies sampled after each jump.
+    """
+    n = config.n_columns
+    x = config.collapse_x
+    events = []
+    for t in range(config.steps):
+        for k in range(1, config.n_vertices + 1):
+            left, right = vertex_columns(t, k, config.n_vertices)
+            events += ((t, left, False), (t, left, True), (t, right, True))
+    probabilities = np.empty((config.steps, n))
+    occupancy = np.empty((config.steps, n))
+    for t, column, is_link in reversed(events) if backward else events:
+        if not is_link:
+            _vertex_inplace(amps, n, column, config.theta)
+            continue
+        slot = column - 1
+        p_one = _link_probability(_occupancy(amps, n, column, 1.0), x)
+        _jump_inplace(amps, n, column, alpha_at(t, slot, p_one), x)
+        _renormalize(amps)
+        probabilities[t, slot] = p_one
+        occupancy[t, slot] = _occupancy(amps, n, column, 1.0)
+    return probabilities, occupancy
+
+
 def run_forward(
     config: LatticeConfig, initial: QuantumState, rng: PrngStream
 ) -> tuple[LatticeRunRecord, QuantumState]:
     """Evolve ``initial`` forward, sampling the field link by link.
 
-    Each step sweeps vertices left to right; after a vertex, its two links
-    are crossed (left column first): the Born weight of ``alpha = 1`` is
-    evaluated, one uniform draw decides ``alpha``, the jump is applied and
-    the state renormalized.  Returns the per-link record and the final state.
+    One uniform draw per link decides ``alpha`` with the Born weight of
+    ``alpha = 1``.  Returns the per-link record and the final state.
     """
     _check_run_inputs(config, initial, "initial")
-    n = config.n_columns
-    x = config.collapse_x
     amps = initial.amplitudes.copy()
-    probabilities = np.empty((config.steps, n))
-    occupancy = np.empty((config.steps, n))
-    alpha_values = np.empty((config.steps, n), dtype=np.uint8)
-    for t in range(config.steps):
-        for k in range(1, config.n_vertices + 1):
-            left, right = vertex_columns(t, k, config.n_vertices)
-            _vertex_inplace(amps, n, left, config.theta)
-            for column in (left, right):
-                p_one = _link_probability(_occupancy(amps, n, column, 1.0), x)
-                alpha = 1 if rng.uniform() < p_one else 0
-                _jump_inplace(amps, n, column, alpha, x)
-                _renormalize(amps)
-                slot = column - 1
-                probabilities[t, slot] = p_one
-                alpha_values[t, slot] = alpha
-                occupancy[t, slot] = _occupancy(amps, n, column, 1.0)
-    record = LatticeRunRecord(
-        field=StochasticField(alpha_values),
-        probabilities=probabilities,
-        occupancy=occupancy,
-        direction="forward",
-    )
+    alpha_values = np.empty((config.steps, config.n_columns), dtype=np.uint8)
+
+    def draw(t: int, slot: int, p_one: float) -> int:
+        alpha_values[t, slot] = alpha = 1 if rng.uniform() < p_one else 0
+        return alpha
+
+    probabilities, occupancy = _pass(config, amps, draw)
+    record = LatticeRunRecord(StochasticField(alpha_values), probabilities, occupancy, "forward")
     return record, QuantumState(amps)
 
 
@@ -379,11 +393,11 @@ def run_backward(
 
     ``final_state`` must be the complex conjugate of the forward run's final
     state (see :func:`conjugate`); with that hand-off the forward vertex and
-    jump matrices are reused verbatim.  Within every step the vertices and
-    links are visited in exactly the reverse of the forward order.  The
-    recorded probability at each link is the Born weight of ``alpha = 1``
-    conditioned on all field values later in coordinate time; the jump then
-    consumes the FIXED recorded ``alpha``, never a fresh draw.
+    jump matrices are reused verbatim.  The pass walks the forward events in
+    reversed order.  The recorded probability at each link is the Born
+    weight of ``alpha = 1`` conditioned on all field values later in
+    coordinate time; the jump then consumes the FIXED recorded ``alpha``,
+    never a fresh draw.
     """
     _check_run_inputs(config, final_state, "final")
     if field.steps != config.steps or field.n_columns != config.n_columns:
@@ -391,27 +405,8 @@ def run_backward(
             f"field shape {field.alpha.shape} does not match config "
             f"({config.steps}, {config.n_columns})"
         )
-    n = config.n_columns
-    x = config.collapse_x
     amps = final_state.amplitudes.copy()
-    probabilities = np.empty((config.steps, n))
-    occupancy = np.empty((config.steps, n))
-    for t in reversed(range(config.steps)):
-        for k in reversed(range(1, config.n_vertices + 1)):
-            left, right = vertex_columns(t, k, config.n_vertices)
-            for column in (right, left):
-                slot = column - 1
-                p_one = _link_probability(_occupancy(amps, n, column, 1.0), x)
-                alpha = int(field.alpha[t, slot])
-                _jump_inplace(amps, n, column, alpha, x)
-                _renormalize(amps)
-                probabilities[t, slot] = p_one
-                occupancy[t, slot] = _occupancy(amps, n, column, 1.0)
-            _vertex_inplace(amps, n, left, config.theta)
-    record = LatticeRunRecord(
-        field=field,
-        probabilities=probabilities,
-        occupancy=occupancy,
-        direction="backward",
+    probabilities, occupancy = _pass(
+        config, amps, lambda t, slot, p_one: int(field.alpha[t, slot]), backward=True
     )
-    return record, QuantumState(amps)
+    return LatticeRunRecord(field, probabilities, occupancy, "backward"), QuantumState(amps)

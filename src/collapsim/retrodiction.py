@@ -12,7 +12,9 @@ forward rule (`evolve`) this module provides:
 
 * two-point conditioning: `smoothed_inference` (pin the state at time 0 and
   observe a later state) and its mirror `postselected_prediction` (pin the
-  state at time 0 and observe an earlier one);
+  state at time 0 and observe an earlier one).  Both are one two-point rule
+  over an early and a late pin; post-selection is that rule with the pins
+  swapped, the observation becoming the early pin;
 
 * `momentum_walk_demo`, a bounded random walk over integer momentum levels
   showing that the direction in which "energy grows" follows the boundary
@@ -213,6 +215,22 @@ def equilibrium_retrodiction(model: MarkovModel, p_e: Distribution) -> np.ndarra
     return model.kernel.T * probs[:, None] / probs[None, :]
 
 
+def _pinned(model: MarkovModel, early: SelectionSpec, late: SelectionSpec, t: int) -> Distribution:
+    """Two-point rule for pins holding state indices, early.time < t < late.time:
+    P(i at t) is proportional to kernel^(late - t)[late, i] kernel^(t - early)[i, early]."""
+    weights = (
+        np.linalg.matrix_power(model.kernel, late.time - t)[late.state, :]
+        * np.linalg.matrix_power(model.kernel, t - early.time)[:, early.state]
+    )
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ConditioningError(
+            f"joint boundary ({model.states[early.state]!r} at {early.time}, "
+            f"{model.states[late.state]!r} at {late.time}) has probability zero"
+        )
+    return Distribution(weights / total)
+
+
 def smoothed_inference(
     model: MarkovModel, pre_select: SelectionSpec, observed: SelectionSpec, t1: int
 ) -> Distribution:
@@ -229,15 +247,7 @@ def smoothed_inference(
         raise ConfigError(f"need 0 < t1 < observed.time, got t1={t1}, tf={tf}")
     s0 = model.index_of(pre_select.state)
     j = model.index_of(observed.state)
-    forward = np.linalg.matrix_power(model.kernel, t1)[:, s0]
-    backward = np.linalg.matrix_power(model.kernel, tf - t1)[j, :]
-    weights = backward * forward
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ConditioningError(
-            f"joint boundary ({model.states[s0]!r} at 0, {model.states[j]!r} at {tf}) has probability zero"
-        )
-    return Distribution(weights / total)
+    return _pinned(model, SelectionSpec(0, s0), SelectionSpec(tf, j), t1)
 
 
 def postselected_prediction(
@@ -245,9 +255,9 @@ def postselected_prediction(
 ) -> Distribution:
     """Mirror of `smoothed_inference`: pin the state at time 0, observe one earlier.
 
-    With an observation at ``tp < 0``, the interior distribution at
-    ``t_minus_1`` in (tp, 0) weighs kernel^(0 - t_minus_1)[s0, i] against
-    kernel^(t_minus_1 - tp)[i, j].
+    The two-point rule with the pins swapped: the observation at ``tp < 0``
+    pins the early end, so the interior distribution at ``t_minus_1`` in
+    (tp, 0) weighs kernel^(0 - t_minus_1)[s0, i] against kernel^(t_minus_1 - tp)[i, j].
     """
     if post_select.time != 0:
         raise ConfigError(f"post-selection must sit at time 0, got {post_select.time}")
@@ -256,15 +266,7 @@ def postselected_prediction(
         raise ConfigError(f"need observed.time < t_minus_1 < 0, got t={t_minus_1}, tp={tp}")
     s0 = model.index_of(post_select.state)
     j = model.index_of(observed.state)
-    to_boundary = np.linalg.matrix_power(model.kernel, -t_minus_1)[s0, :]
-    from_observation = np.linalg.matrix_power(model.kernel, t_minus_1 - tp)[:, j]
-    weights = to_boundary * from_observation
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ConditioningError(
-            f"joint boundary ({model.states[j]!r} at {tp}, {model.states[s0]!r} at 0) has probability zero"
-        )
-    return Distribution(weights / total)
+    return _pinned(model, SelectionSpec(tp, j), SelectionSpec(0, s0), t_minus_1)
 
 
 # ======================================================================

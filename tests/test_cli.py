@@ -241,14 +241,20 @@ def test_energy_demo_zero_variance_is_flat(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, code",
+    "flags, code, walks",
     [
-        (("--runs", "1"), 2),
-        (("--step-variance", "1.0", "--walk-runs", "3", "--selection-tolerance", "0"), 3),
+        (("--runs", "1"), 2, False),
+        (("--step-variance", "1.0", "--walk-runs", "3", "--selection-tolerance", "0"), 3, True),
     ],
     ids=["one-run", "no-survivors"],
 )
-def test_energy_demo_failure_writes_nothing(tmp_path, flags, code):
+def test_energy_demo_failure_writes_nothing(tmp_path, monkeypatch, flags, code, walks):
+    if not walks:
+        # A configuration error must fail before any momentum walk starts.
+        def no_walk(*args, **kwargs):
+            raise AssertionError("momentum_walk_demo ran before the runs check")
+
+        monkeypatch.setattr(cli, "momentum_walk_demo", no_walk)
     out = tmp_path / "out"
     assert run_cli("--experiment", "energy-demo", "--out", out, *flags) == code
     assert list(out.iterdir()) == []

@@ -6,6 +6,7 @@ import pytest
 
 from collapsim.errors import ConfigError, DimensionError, InvalidStateError
 from collapsim.lattice import (
+    MAX_COLUMNS,
     LatticeConfig,
     QuantumState,
     StochasticField,
@@ -58,6 +59,14 @@ def test_single_particle_state_bounds():
     assert occupancy_expectation(state, 3) == pytest.approx(1.0)
     with pytest.raises(DimensionError):
         single_particle_state(6, 7)
+
+
+def test_quantum_state_dimension_range():
+    # Widths 2..MAX_COLUMNS are accepted, as LatticeConfig allows them.
+    assert QuantumState(np.eye(4)[0]).n_columns == 2
+    for dim in (2, 6, 8, 1 << (MAX_COLUMNS + 2)):
+        with pytest.raises(DimensionError, match=rf"even n in 2\.\.{MAX_COLUMNS},"):
+            QuantumState(np.zeros(dim))
 
 
 def test_config_validation():
@@ -212,35 +221,55 @@ def test_run_forward_deterministic_in_seed():
     assert not np.array_equal(rec_a.field.alpha, rec_c.field.alpha)
 
 
-def _replay_forward(config, initial, field):
+def _replay_forward(config, initial, field, backward=False):
     """Re-run the sweep with a fixed field via the public single ops.
 
-    Returns the per-link conditional probabilities of the realized outcomes
-    and the product of those probabilities.
+    With ``backward`` the steps, the vertices within a step and the two links
+    of a vertex are visited in reversed order, each vertex after its links.
+    Returns the per-link conditional probabilities of the realized outcomes,
+    the occupancies after each jump, the product of those probabilities and
+    the final state.
     """
     state = initial
     probabilities = np.empty((config.steps, config.n_columns))
+    occupancy = np.empty((config.steps, config.n_columns))
     product = 1.0
-    for t in range(config.steps):
-        for k in range(1, config.n_vertices + 1):
+    order = reversed if backward else iter
+    for t in order(range(config.steps)):
+        for k in order(range(1, config.n_vertices + 1)):
             left, right = vertex_columns(t, k, config.n_vertices)
-            state = apply_vertex(state, left, config.theta)
-            for column in (left, right):
+            if not backward:
+                state = apply_vertex(state, left, config.theta)
+            for column in order((left, right)):
                 alpha = int(field.alpha[t, column - 1])
                 p_one = link_collapse_probability(state, column, config.collapse_x)
                 probabilities[t, column - 1] = p_one
                 product *= p_one if alpha == 1 else 1.0 - p_one
                 state = normalize(apply_jump(state, column, alpha, config.collapse_x))
-    return probabilities, product, state
+                occupancy[t, column - 1] = occupancy_expectation(state, column)
+            if backward:
+                state = apply_vertex(state, left, config.theta)
+    return probabilities, occupancy, product, state
 
 
 def test_run_forward_probabilities_match_public_op_replay():
+    # Both directions against a replay through the public ops: the forward
+    # pass from the initial state, the backward pass in reversed order from
+    # the conjugated final state, on the same recorded field.
     config = LatticeConfig(n_columns=6, collapse_x=0.5, theta=math.pi / 4, steps=8)
     initial = single_particle_state(6, 3)
     record, final = run_forward(config, initial, PrngStream(21))
-    replay_probs, _, replay_final = _replay_forward(config, initial, record.field)
-    assert np.allclose(replay_probs, record.probabilities, atol=1e-12)
-    assert np.allclose(replay_final.amplitudes, final.amplitudes, atol=1e-10)
+    back, recovered = run_backward(config, record.field, conjugate(final))
+    for run, start, end, backward in (
+        (record, initial, final, False),
+        (back, conjugate(final), recovered, True),
+    ):
+        replay_probs, replay_occ, _, replay_final = _replay_forward(
+            config, start, record.field, backward
+        )
+        assert np.allclose(replay_probs, run.probabilities, atol=1e-12)
+        assert np.allclose(replay_occ, run.occupancy, atol=1e-12)
+        assert np.allclose(replay_final.amplitudes, end.amplitudes, atol=1e-10)
 
 
 def test_sampling_probabilities_are_norm_ratios_exhaustively():
@@ -253,7 +282,7 @@ def test_sampling_probabilities_are_norm_ratios_exhaustively():
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n_links):
         field = StochasticField(np.array(bits, dtype=np.uint8).reshape(config.steps, 4))
-        _, product, _ = _replay_forward(config, initial, field)
+        _, _, product, _ = _replay_forward(config, initial, field)
 
         state = initial
         for t in range(config.steps):
