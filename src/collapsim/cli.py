@@ -179,7 +179,7 @@ def _qmupl_batch_worker(task) -> tuple:
     try:
         report = normality_test(back.dB, config.dt)
         return index, report.statistic, None, report.p_value
-    except InsufficientDataError:
+    except (InsufficientDataError, DegenerateTestError):
         return index, None, None, None
 
 
@@ -339,9 +339,11 @@ def _walk_rows(result) -> list:
 
 
 def run_energy_demo(params: dict) -> list:
-    # ensemble_energy_curve makes the same check, but only after both walks.
+    # ensemble_energy_curve and QmuplConfig check runs and the wave-packet
+    # parameters too, but only after both walks.
     if params["runs"] < 2:
         raise ConfigError(f"need at least 2 runs for a standard error, got {params['runs']}")
+    config = _qmupl_config(params)
     root = PrngStream(params["seed"])
     walk_args = (
         params["grid_half_width"],
@@ -353,7 +355,7 @@ def run_energy_demo(params: dict) -> list:
     post = momentum_walk_demo(
         *walk_args, "post", root.split(1), post_tolerance=params["selection_tolerance"]
     )
-    curve = ensemble_energy_curve(_qmupl_config(params), params["runs"], root.split(2))
+    curve = ensemble_energy_curve(config, params["runs"], root.split(2))
     header = ("t", "mean_energy_forward", "mean_energy_reverse", "standard_error", "survivors")
     return [
         ("walk_pre.csv", write_csv, header, _walk_rows(pre)),

@@ -79,6 +79,9 @@ class QmuplConfig:
             raise ConfigError(f"m must be positive, got {self.m}")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        g_dt = self.g * self.dt
+        if not 0.0 < g_dt < math.inf:
+            raise ConfigError(f"g * dt must be a positive finite number, got {g_dt}")
         if not 1 <= self.n <= MAX_STEPS:
             raise ConfigError(f"n must lie in 1..{MAX_STEPS}, got {self.n}")
 
@@ -134,23 +137,26 @@ def simulate_forward(
     n = config.n
     if increments is None:
         scale = math.sqrt(config.dt)
-        dB = np.fromiter((rng.gaussian() * scale for _ in range(n)), dtype=float, count=n)
+        gaussian = rng.gaussian
+        steps = [gaussian() * scale for _ in range(n)]
+        dB = np.array(steps)
     else:
         dB = np.asarray(increments, dtype=float)
         if dB.shape != (n,):
             raise DimensionError(f"increments must have shape ({n},), got {dB.shape}")
-    x = np.empty(n + 1)
-    p = np.empty(n + 1)
-    z = np.empty(n)
-    x[0] = config.x0
-    p[0] = config.p0
-    sqrt_m = math.sqrt(config.m)
-    g_dt = config.g * config.dt
-    for i in range(n):
-        z[i] = x[i] + dB[i] / g_dt
-        x[i + 1] = x[i] + (p[i] / config.m) * config.dt + dB[i] / sqrt_m
-        p[i + 1] = p[i] + 0.5 * config.g * dB[i]
-    return WavePacketTrajectory(x=x, p=p, z=z, dB=dB)
+        steps = dB.tolist()
+    m, dt = config.m, config.dt
+    sqrt_m = math.sqrt(m)
+    g_dt = config.g * dt
+    half_g = 0.5 * config.g
+    x, p = float(config.x0), float(config.p0)
+    xs, ps, zs = [x], [p], []
+    for step in steps:
+        zs.append(x + step / g_dt)
+        x, p = x + (p / m) * dt + step / sqrt_m, p + half_g * step
+        xs.append(x)
+        ps.append(p)
+    return WavePacketTrajectory(x=np.array(xs), p=np.array(ps), z=np.array(zs), dB=dB)
 
 
 def reverse_trajectory(
@@ -166,18 +172,21 @@ def reverse_trajectory(
     n = config.n
     if centres.shape != (n,):
         raise DimensionError(f"centres must have shape ({n},), got {centres.shape}")
-    x = np.empty(n + 1)
-    p = np.empty(n + 1)
-    dB = np.empty(n)
-    x[n] = x_n
-    p[n] = -p_n
-    sqrt_m = math.sqrt(config.m)
-    g_dt = config.g * config.dt
-    for i in range(n, 0, -1):
-        dB[i - 1] = g_dt * (centres[i - 1] - x[i])
-        x[i - 1] = x[i] + (p[i] / config.m) * config.dt + dB[i - 1] / sqrt_m
-        p[i - 1] = p[i] + 0.5 * config.g * dB[i - 1]
-    return ReversedTrajectory(x=x, p=p, dB=dB)
+    m, dt = config.m, config.dt
+    sqrt_m = math.sqrt(m)
+    g_dt = config.g * dt
+    half_g = 0.5 * config.g
+    x, p = float(x_n), -float(p_n)
+    xs, ps, steps = [x], [p], []
+    for centre in reversed(centres.tolist()):
+        step = g_dt * (centre - x)
+        x, p = x + (p / m) * dt + step / sqrt_m, p + half_g * step
+        xs.append(x)
+        ps.append(p)
+        steps.append(step)
+    return ReversedTrajectory(
+        x=np.array(xs[::-1]), p=np.array(ps[::-1]), dB=np.array(steps[::-1])
+    )
 
 
 def normality_test(increments: Sequence[float], dt: float) -> TestReport:
@@ -185,8 +194,7 @@ def normality_test(increments: Sequence[float], dt: float) -> TestReport:
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
     scale = 1.0 / math.sqrt(dt)
-    standardized = [v * scale for v in np.asarray(increments, dtype=float)]
-    return ks_test(standardized, standard_normal_cdf)
+    return ks_test(np.asarray(increments, dtype=float) * scale, standard_normal_cdf)
 
 
 @dataclass(frozen=True)

@@ -338,15 +338,14 @@ def momentum_walk_demo(
     sum_energy = np.zeros(steps + 1)
     sum_energy_sq = np.zeros(steps + 1)
     survivors = 0
-    energies = np.empty(steps + 1)
     for run_index in range(runs):
         stream = rng.split(run_index)
         if selection == "pre":
             p = 0
         else:
             p = int(stream.uniform() * n_levels) - width
-        energies[0] = 0.5 * p * p
-        for t in range(1, steps + 1):
+        energies = [0.5 * p * p]
+        for _ in range(steps):
             u = stream.uniform()
             if u < half_variance:
                 candidate = p + 1
@@ -356,12 +355,13 @@ def momentum_walk_demo(
                 candidate = p
             if -width <= candidate <= width:
                 p = candidate
-            energies[t] = 0.5 * p * p
+            energies.append(0.5 * p * p)
         if selection == "post" and abs(p) > post_tolerance:
             continue
         survivors += 1
-        sum_energy += energies
-        sum_energy_sq += energies * energies
+        energy = np.array(energies)
+        sum_energy += energy
+        sum_energy_sq += energy * energy
     if survivors == 0:
         raise ResampleExhaustedError(
             f"post-selection |p| <= {post_tolerance} kept 0 of {runs} trajectories"

@@ -1,15 +1,17 @@
 """Self-contained statistical kernel: PRNG, special functions, and tests.
 
-Everything in this module is pure Python on top of the standard library, so
-that random-number generation and p-value computation are bit-for-bit
-reproducible across platforms and carry no heavyweight dependencies.
+Random-number generation and p-value computation are bit-for-bit
+reproducible across platforms: the PRNG is exact 64-bit integer arithmetic,
+and the special functions use only the standard library's ``math``.
 
 Random numbers come from :class:`PrngStream`, a counter-based SplitMix64
 generator.  The state advances by the fixed odd increment ``GAMMA`` and each
 output is the SplitMix64 finalizer of the counter, which makes streams cheap
 to fork: a (seed, stream id) pair fully determines the sequence, and
 :meth:`PrngStream.split` derives child streams without touching the parent's
-position.
+position.  Numpy computes the outputs a block of counters at a time, in
+``uint64`` arithmetic that wraps mod 2^64 as the scalar ``_mix64`` masks, so
+the draws are bit-identical to the scalar generator's.
 
 The hypothesis-testing helpers (`chi_squared_sf`, `ks_test`,
 `standard_normal_cdf`) return plain floats or a :class:`TestReport` and are
@@ -23,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InsufficientDataError
+import numpy as np
+
+from .errors import DegenerateTestError, InsufficientDataError
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,6 +51,23 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# Draws per block, and the counter offsets k * GAMMA (k = 1.._BLOCK) of a
+# block from the state it starts at; uint64 array arithmetic wraps mod 2^64.
+_BLOCK = 256
+_BLOCK_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
+_BLOCK_ADVANCE = (_BLOCK * GAMMA) & _MASK64
+
+
+def _mix64_block(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` of every element of a ``uint64`` array, in place."""
+    z ^= z >> 30
+    z *= _MIX_MULT_1
+    z ^= z >> 27
+    z *= _MIX_MULT_2
+    z ^= z >> 31
+    return z
+
+
 class PrngStream:
     """Counter-based SplitMix64 stream, seedable and splittable.
 
@@ -56,12 +77,15 @@ class PrngStream:
     of the identifiers, so it can be done before, after, or without drawing.
     """
 
-    __slots__ = ("seed", "stream_id", "_state", "_gauss_spare")
+    __slots__ = ("seed", "stream_id", "_state", "_block", "_gauss_spare")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
+        # _state is the counter the next block starts from; _block holds
+        # the current block's unserved outputs, the next one last.
         self._state = _mix64(self.seed ^ _mix64(self.stream_id * _STREAM_SALT + 1))
+        self._block: list[int] = []
         self._gauss_spare: float | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -76,8 +100,16 @@ class PrngStream:
         return PrngStream(self.seed, _mix64(self.stream_id ^ _mix64((child_id & _MASK64) + GAMMA)))
 
     def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & _MASK64
-        return _mix64(self._state)
+        """Finalizer of the stream's next counter.
+
+        Outputs are computed ``_BLOCK`` counters at a time and served in
+        counter order.
+        """
+        if not self._block:
+            counters = _BLOCK_OFFSETS + np.uint64(self._state)
+            self._block = _mix64_block(counters)[::-1].tolist()
+            self._state = (self._state + _BLOCK_ADVANCE) & _MASK64
+        return self._block.pop()
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 random bits."""
@@ -218,20 +250,21 @@ def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> TestRepor
 
     The statistic is the two-sided sup-gap over the order statistics,
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n), and the p-value uses
-    the large-sample Kolmogorov distribution of sqrt(n) * D.
+    the large-sample Kolmogorov distribution of sqrt(n) * D.  A non-finite
+    sample value raises :class:`DegenerateTestError`.
     """
     n = len(sample)
     if n < 10:
         raise InsufficientDataError(f"KS test needs at least 10 samples, got {n}")
-    ordered = sorted(float(v) for v in sample)
-    d_stat = 0.0
-    for i, value in enumerate(ordered):
-        f = cdf(value)
-        gap_high = (i + 1) / n - f
-        gap_low = f - i / n
-        if gap_high > d_stat:
-            d_stat = gap_high
-        if gap_low > d_stat:
-            d_stat = gap_low
+    values = np.asarray(sample, dtype=float)
+    if not np.isfinite(values).all():
+        raise DegenerateTestError("KS test sample holds a non-finite value")
+    # Bit-identical to a running maximum over sorted(): the sort is stable,
+    # each gap is one IEEE operation, fmax skips NaN gaps and max() keeps +0.0.
+    ordered = np.sort(values, kind="stable").tolist()
+    f = np.fromiter(map(cdf, ordered), dtype=float, count=n)
+    ranks = np.arange(n)
+    gaps = np.concatenate(((ranks + 1) / n - f, f - ranks / n))
+    d_stat = max(0.0, float(np.fmax.reduce(gaps)))
     p = kolmogorov_sf(math.sqrt(n) * d_stat)
     return TestReport(statistic=d_stat, p_value=p, sample_size=n, method="ks-asymptotic")

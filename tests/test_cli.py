@@ -351,6 +351,29 @@ def test_non_finite_wave_packet_parameter_is_a_config_error(tmp_path, capsys, fl
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("g, dt, product", [("1e-200", "1e-200", "0.0"), ("1e300", "1e10", "inf")])
+def test_g_dt_that_is_not_positive_finite_is_a_config_error(tmp_path, capsys, g, dt, product):
+    rc = run_cli(
+        "--experiment", "qmupl-batch", "--out", tmp_path, "--g", g, "--dt", dt,
+        "--runs", "20", "--n-steps", "50",
+    )
+    assert rc == 2
+    assert f"g * dt must be a positive finite number, got {product}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_qmupl_batch_counts_non_finite_runs_as_degenerate(tmp_path):
+    # With mass 1e-300 the drift p dt / m overflows, so every back-solved
+    # increment is NaN and no run has a usable KS test.
+    rc = run_cli(
+        "--experiment", "qmupl-batch", "--out", tmp_path, "--g", "1e300", "--dt", "1e-300",
+        "--mass", "1e-300", "--runs", "20", "--n-steps", "50",
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "uniformity.json").read_text())
+    assert (report["degenerate"], report["retained"]) == (20, 0)
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lattice_m=4\n")

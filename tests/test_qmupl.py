@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from collapsim.errors import ConfigError, DimensionError, InsufficientDataError
+from collapsim.errors import ConfigError, DegenerateTestError, DimensionError, InsufficientDataError
 from collapsim.lattice_analysis import pvalue_uniformity
 from collapsim.qmupl import (
     MAX_STEPS,
@@ -21,7 +21,9 @@ from collapsim.qmupl import (
     step_forward,
     time_reverse_state,
 )
-from collapsim.stats import PrngStream
+from collapsim.stats import PrngStream, standard_normal_cdf
+
+from test_stats import ScalarSplitMix64, slow_ks_test
 
 CONFIG = QmuplConfig(g=20.0, m=1.0, dt=0.001, n=1000)
 
@@ -41,6 +43,12 @@ def test_config_validation():
         QmuplConfig(g=20.0, m=1.0, dt=0.001, n=0)
     with pytest.raises(ConfigError):
         QmuplConfig(g=20.0, m=1.0, dt=0.001, n=MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("g, dt, product", [(1e-200, 1e-200, "0.0"), (1e300, 1e10, "inf")])
+def test_config_rejects_g_dt_that_is_not_positive_finite(g, dt, product):
+    with pytest.raises(ConfigError, match=rf"g \* dt must be a positive finite number, got {product}"):
+        QmuplConfig(g=g, m=1.0, dt=dt, n=10)
 
 
 @pytest.mark.parametrize("field", ["g", "m", "dt", "x0", "p0"])
@@ -403,8 +411,117 @@ def test_energy_curve_deterministic_and_guarded():
         ensemble_energy_curve(CONFIG, 1, PrngStream(5))
 
 
+def test_overflowing_run_fails_the_normality_test():
+    # The forward run overflows, so every back-solved increment is NaN; a KS
+    # test of them must not read as a perfect fit.
+    config = QmuplConfig(g=20, m=1, dt=0.001, n=1000, x0=1.7e308, p0=1e308)
+    trajectory = simulate_forward(config, PrngStream(1))
+    back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
+    assert np.isnan(back.dB).all()
+    with pytest.raises(DegenerateTestError):
+        normality_test(back.dB, config.dt)
+
+
 def test_normality_test_guards():
     with pytest.raises(ConfigError):
         normality_test(np.zeros(100), 0.0)
     with pytest.raises(InsufficientDataError):
         normality_test(np.zeros(5), 0.001)
+
+
+# ----------------------------------------------------------------------
+# Float recursions against the per-element numpy loops they replaced
+# ----------------------------------------------------------------------
+
+
+def slow_simulate_forward(config, rng, increments=None):
+    n = config.n
+    if increments is None:
+        scale = math.sqrt(config.dt)
+        dB = np.fromiter((rng.gaussian() * scale for _ in range(n)), dtype=float, count=n)
+    else:
+        dB = np.asarray(increments, dtype=float)
+    x = np.empty(n + 1)
+    p = np.empty(n + 1)
+    z = np.empty(n)
+    x[0] = config.x0
+    p[0] = config.p0
+    sqrt_m = math.sqrt(config.m)
+    g_dt = config.g * config.dt
+    for i in range(n):
+        z[i] = x[i] + dB[i] / g_dt
+        x[i + 1] = x[i] + (p[i] / config.m) * config.dt + dB[i] / sqrt_m
+        p[i + 1] = p[i] + 0.5 * config.g * dB[i]
+    return x, p, z, dB
+
+
+def slow_reverse_trajectory(z, x_n, p_n, config):
+    centres = np.asarray(z, dtype=float)
+    n = config.n
+    x = np.empty(n + 1)
+    p = np.empty(n + 1)
+    dB = np.empty(n)
+    x[n] = x_n
+    p[n] = -p_n
+    sqrt_m = math.sqrt(config.m)
+    g_dt = config.g * config.dt
+    for i in range(n, 0, -1):
+        dB[i - 1] = g_dt * (centres[i - 1] - x[i])
+        x[i - 1] = x[i] + (p[i] / config.m) * config.dt + dB[i - 1] / sqrt_m
+        p[i - 1] = p[i] + 0.5 * config.g * dB[i - 1]
+    return x, p, dB
+
+
+def random_configs(n, count, seed):
+    np_rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield QmuplConfig(
+            g=float(np_rng.uniform(0.5, 60.0)),
+            m=float(np.exp(np_rng.uniform(-3.0, 3.0))),
+            dt=float(np.exp(np_rng.uniform(-10.0, -3.0))),
+            n=n,
+            x0=float(np_rng.normal(scale=5.0)),
+            p0=float(np_rng.normal(scale=5.0)),
+        )
+
+
+def assert_same_bytes(fast, slow):
+    assert fast.dtype == slow.dtype and fast.shape == slow.shape
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_float_recursions_match_element_loops(n):
+    for index, config in enumerate(random_configs(n, 6, seed=n)):
+        # Sampled path, against the slow loop fed by the scalar generator.
+        trajectory = simulate_forward(config, PrngStream(n, index))
+        slow = slow_simulate_forward(config, ScalarSplitMix64(n, index))
+        for fast_array, slow_array in zip(
+            (trajectory.x, trajectory.p, trajectory.z, trajectory.dB), slow
+        ):
+            assert_same_bytes(fast_array, slow_array)
+
+        # Fixed-increment path, with increments far from N(0, dt).
+        increments = np.random.default_rng(index).standard_t(2, size=n) * 3.0
+        replay = simulate_forward(config, PrngStream(0), increments=increments)
+        slow = slow_simulate_forward(config, None, increments=increments)
+        for fast_array, slow_array in zip((replay.x, replay.p, replay.z, replay.dB), slow):
+            assert_same_bytes(fast_array, slow_array)
+
+        # Back-solve from the forward end point and from an arbitrary one.
+        for x_n, p_n in ((trajectory.x[-1], trajectory.p[-1]), (0.3 * index - 1.0, -2.5)):
+            back = reverse_trajectory(trajectory.z, x_n, p_n, config)
+            slow = slow_reverse_trajectory(trajectory.z, x_n, p_n, config)
+            for fast_array, slow_array in zip((back.x, back.p, back.dB), slow):
+                assert_same_bytes(fast_array, slow_array)
+
+        # KS test of the back-solved increments at scale sqrt(dt).
+        scale = 1.0 / math.sqrt(config.dt)
+        slow_standardized = [v * scale for v in back.dB]
+        if n < 10:
+            with pytest.raises(InsufficientDataError):
+                normality_test(back.dB, config.dt)
+        else:
+            report = normality_test(back.dB, config.dt)
+            expected = slow_ks_test(slow_standardized, standard_normal_cdf)
+            assert (report.statistic, report.p_value) == expected

@@ -34,6 +34,8 @@ from collapsim.retrodiction import (
 )
 from collapsim.stats import PrngStream
 
+from test_stats import ScalarSplitMix64
+
 SYMMETRIC = MarkovModel(("S1", "S2"), np.array([[0.9, 0.1], [0.1, 0.9]]))
 # Columns are sources: column 0 = (0.5, 0.5), column 1 = (0.25, 0.75).
 TWO_STATE = MarkovModel(("a", "b"), np.array([[0.5, 0.25], [0.5, 0.75]]))
@@ -450,6 +452,65 @@ def test_truncation_flag_tracks_grid_width():
     # Threshold is 6 * sqrt(steps * variance) = 30 for these parameters.
     assert momentum_walk_demo(30, 0.25, 100, 5, "pre", PrngStream(2)).truncation_ok
     assert not momentum_walk_demo(29, 0.25, 100, 5, "pre", PrngStream(2)).truncation_ok
+
+
+def slow_walk_sums(grid_half_width, step_variance, steps, runs, selection, rng, post_tolerance):
+    """The walk with one numpy element store per step, summed over survivors."""
+    width = grid_half_width
+    half_variance = 0.5 * step_variance
+    n_levels = 2 * width + 1
+    sum_energy = np.zeros(steps + 1)
+    sum_energy_sq = np.zeros(steps + 1)
+    survivors = 0
+    energies = np.empty(steps + 1)
+    for run_index in range(runs):
+        stream = rng.split(run_index)
+        p = 0 if selection == "pre" else int(stream.uniform() * n_levels) - width
+        energies[0] = 0.5 * p * p
+        for t in range(1, steps + 1):
+            u = stream.uniform()
+            if u < half_variance:
+                candidate = p + 1
+            elif u < step_variance:
+                candidate = p - 1
+            else:
+                candidate = p
+            if -width <= candidate <= width:
+                p = candidate
+            energies[t] = 0.5 * p * p
+        if selection == "post" and abs(p) > post_tolerance:
+            continue
+        survivors += 1
+        sum_energy += energies
+        sum_energy_sq += energies * energies
+    return survivors, sum_energy, sum_energy_sq
+
+
+@pytest.mark.parametrize("steps", [1, 2, 10, 1000])
+def test_walk_matches_element_loop(steps):
+    np_rng = np.random.default_rng(steps)
+    for index in range(4):
+        width = int(np_rng.integers(1, 40))
+        variance = float(np_rng.uniform(0.0, 1.0))
+        runs = int(np_rng.integers(2, 60))
+        tolerance = int(np_rng.integers(0, 4))
+        for selection in ("pre", "post"):
+            args = (width, variance, steps, runs, selection)
+            survivors, sum_energy, sum_energy_sq = slow_walk_sums(
+                *args, ScalarSplitMix64(steps, index), tolerance
+            )
+            if survivors == 0:
+                with pytest.raises(ResampleExhaustedError):
+                    momentum_walk_demo(*args, PrngStream(steps, index), post_tolerance=tolerance)
+                continue
+            result = momentum_walk_demo(*args, PrngStream(steps, index), post_tolerance=tolerance)
+            assert result.survivors == survivors
+            mean = sum_energy / survivors
+            assert result.mean_energy.tobytes() == mean.tobytes()
+            if survivors > 1:
+                variance_hat = np.maximum(sum_energy_sq / survivors - mean**2, 0.0)
+                se = np.sqrt(variance_hat / (survivors - 1))
+                assert result.standard_error.tobytes() == se.tobytes()
 
 
 def test_walk_determinism_and_guards():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from collapsim.errors import InsufficientDataError
+from collapsim.errors import DegenerateTestError, InsufficientDataError
 from collapsim.stats import (
     GAMMA,
     PrngStream,
@@ -111,6 +111,95 @@ def test_parallel_streams_uncorrelated():
 
 
 # ----------------------------------------------------------------------
+# Block draws vs a scalar SplitMix64 oracle
+# ----------------------------------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def scalar_mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class ScalarSplitMix64:
+    """One counter at a time: output k is the finalizer of ``state + k GAMMA``.
+
+    Seeding, splitting, the uniform and the Box-Muller Gaussian follow the
+    same recipe as ``PrngStream``, written out with Python integers and floats.
+    """
+
+    def __init__(self, seed, stream_id=0):
+        self.seed = seed & MASK64
+        self.stream_id = stream_id & MASK64
+        salted = (self.stream_id * 0xC2B2AE3D27D4EB4F + 1) & MASK64
+        self.state = scalar_mix64(self.seed ^ scalar_mix64(salted))
+        self.spare = None
+
+    def split(self, child_id):
+        child = scalar_mix64(((child_id & MASK64) + GAMMA) & MASK64)
+        return ScalarSplitMix64(self.seed, scalar_mix64(self.stream_id ^ child))
+
+    def next_u64(self):
+        self.state = (self.state + GAMMA) & MASK64
+        return scalar_mix64(self.state)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def gaussian(self):
+        if self.spare is not None:
+            value, self.spare = self.spare, None
+            return value
+        radius = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
+        angle = 2.0 * math.pi * self.uniform()
+        self.spare = radius * math.sin(angle)
+        return radius * math.cos(angle)
+
+
+# Mixed call pattern: one u64, two uniforms and three Gaussians per cycle,
+# so Box-Muller pairs straddle other calls and block edges.
+CALL_CYCLE = ("next_u64", "gaussian", "uniform", "gaussian", "uniform", "gaussian")
+
+
+def draw_mixed(stream, calls):
+    return [getattr(stream, CALL_CYCLE[i % len(CALL_CYCLE)])() for i in range(calls)]
+
+
+@pytest.mark.parametrize("lead", [255, 256, 257, 513])
+def test_block_draws_match_scalar_oracle_across_block_edges(lead):
+    stream, oracle = PrngStream(31, stream_id=4), ScalarSplitMix64(31, stream_id=4)
+    assert [stream.next_u64() for _ in range(lead)] == [oracle.next_u64() for _ in range(lead)]
+    assert draw_mixed(stream, 700) == draw_mixed(oracle, 700)
+
+
+@pytest.mark.parametrize("start, zero_at", [(MASK64, None), ((-3 * GAMMA) & MASK64, 3),
+                                            ((-255 * GAMMA) & MASK64, 255)])
+def test_block_draws_match_scalar_oracle_where_the_counter_wraps(start, zero_at):
+    # The counter passes 2^64 within the first block; from the last two
+    # starts it lands exactly on 0, whose finalizer is 0.
+    stream, oracle = PrngStream(0), ScalarSplitMix64(0)
+    stream._state = oracle.state = start
+    assert draw_mixed(stream, 600) == draw_mixed(oracle, 600)
+    probe = PrngStream(0)
+    probe._state = start
+    block = [probe.next_u64() for _ in range(256)]
+    assert (block.index(0) + 1 if 0 in block else None) == zero_at
+
+
+def test_split_before_and_after_draws_matches_scalar_oracle():
+    parent, oracle = PrngStream(2026, stream_id=9), ScalarSplitMix64(2026, stream_id=9)
+    before = parent.split(17)
+    assert draw_mixed(parent, 300) == draw_mixed(oracle, 300)
+    after = parent.split(17)
+    expected = draw_mixed(oracle.split(17), 400)
+    assert draw_mixed(before, 400) == expected
+    assert draw_mixed(after, 400) == expected
+    assert draw_mixed(parent, 300) == draw_mixed(oracle, 300)
+
+
+# ----------------------------------------------------------------------
 # Special functions vs scipy oracles
 # ----------------------------------------------------------------------
 
@@ -183,3 +272,61 @@ def test_ks_calibration_under_null():
 def test_ks_requires_minimum_sample():
     with pytest.raises(InsufficientDataError):
         ks_test([0.1] * 9, standard_normal_cdf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    with pytest.raises(DegenerateTestError, match="non-finite"):
+        ks_test([bad] * 20, standard_normal_cdf)
+    sample = list(np.random.default_rng(6).normal(size=50))
+    sample[17] = bad
+    with pytest.raises(DegenerateTestError, match="non-finite"):
+        ks_test(sample, standard_normal_cdf)
+
+
+def slow_ks_test(sample, cdf):
+    """KS statistic and p-value, one numpy scalar and one cdf call at a time."""
+    n = len(sample)
+    ordered = sorted(float(v) for v in np.asarray(sample))
+    d_stat = 0.0
+    for i, value in enumerate(ordered):
+        f = cdf(value)
+        gap_high = (i + 1) / n - f
+        gap_low = f - i / n
+        if gap_high > d_stat:
+            d_stat = gap_high
+        if gap_low > d_stat:
+            d_stat = gap_low
+    return d_stat, kolmogorov_sf(math.sqrt(n) * d_stat)
+
+
+def clipped_uniform_cdf(v):
+    return min(1.0, max(0.0, v))
+
+
+def partly_undefined_cdf(v):
+    # NaN above 0.7: the running maximum skips NaN gaps.
+    return math.nan if v > 0.7 else 0.9 * v
+
+
+def undefined_cdf(v):
+    # Every gap is NaN, so the running maximum stays at its start, 0.0.
+    return math.nan
+
+
+@pytest.mark.parametrize("n", [10, 11, 257, 1000])
+def test_ks_test_matches_element_loop(n):
+    np_rng = np.random.default_rng(n)
+    samples = (
+        np_rng.normal(size=n),
+        np_rng.standard_t(3, size=n) * 1.3 + 0.2,
+        np.round(np_rng.normal(size=n), 1),  # many ties
+        np_rng.choice([-0.0, 0.0, -1.0, 0.5, 1.0], size=n),  # signed-zero ties
+        np_rng.uniform(size=n),
+    )
+    for sample in samples:
+        for cdf in (standard_normal_cdf, clipped_uniform_cdf, partly_undefined_cdf, undefined_cdf):
+            report = ks_test(sample, cdf)
+            statistic, p_value = slow_ks_test(sample, cdf)
+            assert (report.statistic, report.p_value) == (statistic, p_value)
+            assert math.copysign(1.0, report.statistic) == math.copysign(1.0, statistic)
