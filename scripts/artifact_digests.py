@@ -2,14 +2,15 @@
 
 Usage:  PYTHONPATH=src python3 scripts/artifact_digests.py [SEED ...]
 
-Each experiment runs once per seed (default: seed 1) at the sizes of the
-byte-identical replay criterion (``SMALL_RUNS`` in
-``tests/test_acceptance.py``), into a temporary directory.  One line
+Each experiment runs once per seed (default: seed 1) at the small sizes of
+``SMALL_RUNS``, into a temporary directory.  One line
 ``<sha256>  <seed>/<experiment>/<file>`` is printed per output file,
-``manifest.jsonl`` included.  The script imports only the standard library
-and ``collapsim.cli.main``, so it runs against any checkout whose ``src`` is
-on ``PYTHONPATH``.  To check that a change leaves every artifact byte alone,
-run it against both trees and diff the two listings:
+``manifest.jsonl`` included.  The byte-identical replay criterion
+(criterion 12 in ``tests/test_acceptance.py``) imports ``SMALL_RUNS`` and
+``digest_lines`` from here and compares two listings.  The script imports
+only the standard library and ``collapsim.cli.main``, so it runs against any
+checkout whose ``src`` is on ``PYTHONPATH``.  To check that a change leaves
+every artifact byte alone, run it against both trees and diff the two listings:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/artifact_digests.py 1 123 > before.txt
     PYTHONPATH=src python3 scripts/artifact_digests.py 1 123 > after.txt
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from collapsim.cli import main
 
-# The sizes of criterion 12 (tests/test_acceptance.py::SMALL_RUNS).
+# Small sizes of every experiment, also the sizes of criterion 12.
 SMALL_RUNS = {
     "lattice-run": ("--lattice-n", "8", "--steps", "15"),
     "lattice-batch": ("--runs", "50", "--lattice-n", "8", "--steps", "30"),

@@ -5,10 +5,10 @@ Subpackages by theme:
 * :mod:`collapsim.lattice` — discrete light-cone lattice: dense many-column
   quantum state, brickwork scattering vertices, stochastic collapse jumps,
   matched forward and backward passes.
-* :mod:`collapsim.lattice_analysis` — observables over lattice runs: vacuum
-  noise statistics, coarse-grained field averages, superposition decay, and
-  the chi-squared calibration test comparing a recorded field against
-  backward-pass probabilities.
+* :mod:`collapsim.lattice_analysis` — statistics of lattice runs: vacuum
+  noise of the block-averaged field, the chi-squared calibration test
+  comparing a recorded field against backward-pass probabilities, and the
+  uniformity check over many runs' p-values.
 * :mod:`collapsim.qmupl` — continuous wave-packet collapse: forward Euler
   trajectories, exact back-solved reversals, ensemble energy growth.
 * :mod:`collapsim.retrodiction` — finite Markov chains: Bayesian

@@ -251,6 +251,17 @@ def _qmupl_config(params: dict) -> QmuplConfig:
     return QmuplConfig(g=params["g"], m=params["mass"], dt=params["dt"], n=params["n_steps"])
 
 
+def _require_finite(what: str, *series: np.ndarray) -> None:
+    """Fail fast when a wave-packet table overflowed, naming the first bad step.
+
+    Each array is indexed by step; finite parameters can still overflow the
+    recursions (a drift ``p dt / m`` beyond the float range).
+    """
+    bad = [int(np.argmin(finite)) for finite in map(np.isfinite, series) if not finite.all()]
+    if bad:
+        raise ConfigError(f"{what} is not finite at step {min(bad)}: the parameters overflow")
+
+
 def _qmupl_reversal(config: QmuplConfig, stream: PrngStream) -> tuple:
     """A forward trajectory and its back-solve from the final state."""
     trajectory = simulate_forward(config, stream)
@@ -260,6 +271,8 @@ def _qmupl_reversal(config: QmuplConfig, stream: PrngStream) -> tuple:
 def run_qmupl_run(params: dict) -> list:
     config = _qmupl_config(params)
     trajectory, back = _qmupl_reversal(config, PrngStream(params["seed"]))
+    _require_finite("wave-packet trajectory", trajectory.x, trajectory.p, trajectory.z)
+    _require_finite("back-solved trajectory", back.x, back.p, back.dB)
     n, dt = config.n, config.dt
     header = ("step", "time", "x", "p")
     return [
@@ -356,6 +369,7 @@ def run_energy_demo(params: dict) -> list:
         *walk_args, "post", root.split(1), post_tolerance=params["selection_tolerance"]
     )
     curve = ensemble_energy_curve(config, params["runs"], root.split(2))
+    _require_finite("wave-packet energy curve", curve.mean_p_squared, curve.standard_error)
     header = ("t", "mean_energy_forward", "mean_energy_reverse", "standard_error", "survivors")
     return [
         ("walk_pre.csv", write_csv, header, _walk_rows(pre)),

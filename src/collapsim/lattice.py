@@ -146,14 +146,12 @@ class LatticeRunRecord:
     ``i``'s link at step ``t``, evaluated on the state current when that link
     was crossed (for reverse runs this conditions on everything later in
     coordinate time).  ``occupancy`` holds the column occupancy expectation
-    sampled immediately after the jump at that link.  ``direction`` is
-    ``"forward"`` or ``"backward"``.
+    sampled immediately after the jump at that link.
     """
 
     field: StochasticField
     probabilities: np.ndarray
     occupancy: np.ndarray
-    direction: str
 
 
 # ======================================================================
@@ -382,7 +380,7 @@ def run_forward(
         return alpha
 
     probabilities, occupancy = _pass(config, amps, draw)
-    record = LatticeRunRecord(StochasticField(alpha_values), probabilities, occupancy, "forward")
+    record = LatticeRunRecord(StochasticField(alpha_values), probabilities, occupancy)
     return record, QuantumState(amps)
 
 
@@ -409,4 +407,4 @@ def run_backward(
     probabilities, occupancy = _pass(
         config, amps, lambda t, slot, p_one: int(field.alpha[t, slot]), backward=True
     )
-    return LatticeRunRecord(field, probabilities, occupancy, "backward"), QuantumState(amps)
+    return LatticeRunRecord(field, probabilities, occupancy), QuantumState(amps)

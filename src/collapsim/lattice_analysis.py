@@ -1,13 +1,9 @@
 """Ensemble-level analysis of lattice runs.
 
-Three concerns live here:
+Two concerns live here:
 
-* coarse graining of the binary link field over space-time regions, with the
-  Gaussian noise statistics of a vacuum region and the block size needed to
-  resolve an occupied region against that noise;
-
-* a collapse-timescale experiment for a macroscopic two-branch
-  superposition, tracking how the field record suppresses one branch;
+* the Gaussian noise statistics of the block-averaged field over a vacuum
+  region;
 
 * the reverse-time calibration test: binned chi-squared comparison of
   realized field values against the link probabilities recorded by a
@@ -16,7 +12,6 @@ Three concerns live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,17 +19,14 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateTestError, DimensionError, InsufficientDataError
 from .lattice import StochasticField
-from .stats import PrngStream, TestReport, chi_squared_sf, ks_test
+from .stats import TestReport, chi_squared_sf, ks_test
 
 # Bins with fewer expected successes or failures than this are dropped
 # before the chi-squared sum (normal-approximation screen).
 NORMAL_SCREEN_MINIMUM = 5.0
 
-# Default safety factor for detectability: mean shift >= 5 noise sigmas.
-DETECTABILITY_CONSTANT = 25.0
-
 # ======================================================================
-# Vacuum noise and coarse graining
+# Vacuum noise
 # ======================================================================
 
 
@@ -59,144 +51,6 @@ def vacuum_noise_stats(x: float, block_size: int) -> NoiseStats:
         raise ConfigError(f"block_size must be >= 1, got {block_size}")
     weight = x * x / (1.0 + x * x)
     return NoiseStats(mu=weight, sigma_squared=x * x / (block_size * (1.0 + x * x) ** 2))
-
-
-def detectability_threshold(epsilon: float, constant: float = DETECTABILITY_CONSTANT) -> int:
-    """Minimum block size at which an occupied region stands out of the noise.
-
-    With ``X = 1 - epsilon`` the occupied-vs-vacuum mean gap shrinks like
-    epsilon while the block-mean sigma shrinks like 1/sqrt(M), so resolving
-    the gap at ``sqrt(constant)`` sigmas needs M >= constant / epsilon^2.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if constant <= 0.0:
-        raise ConfigError(f"constant must be positive, got {constant}")
-    return math.ceil(constant / (epsilon * epsilon))
-
-
-@dataclass(frozen=True)
-class Region:
-    """Rectangular set of links: steps [t_start, t_stop), columns [column_start, column_stop).
-
-    Time steps are 0-based; columns are 1-based, matching the rest of the
-    lattice API.
-    """
-
-    t_start: int
-    t_stop: int
-    column_start: int
-    column_stop: int
-
-    def __post_init__(self):
-        if not (0 <= self.t_start < self.t_stop):
-            raise DimensionError(f"need 0 <= t_start < t_stop, got [{self.t_start}, {self.t_stop})")
-        if not (1 <= self.column_start < self.column_stop):
-            raise DimensionError(
-                f"need 1 <= column_start < column_stop, got [{self.column_start}, {self.column_stop})"
-            )
-
-    @property
-    def link_count(self) -> int:
-        return (self.t_stop - self.t_start) * (self.column_stop - self.column_start)
-
-
-@dataclass(frozen=True)
-class CoarseGrainResult:
-    mean_alpha: float
-    z_score: float
-    link_count: int
-
-
-def coarse_grain_field(field: StochasticField, region: Region, x: float) -> CoarseGrainResult:
-    """Block-average the field over ``region`` and score it against vacuum noise.
-
-    The z-score compares the region mean with the vacuum expectation using
-    the region's own block size.
-    """
-    if region.t_stop > field.steps or region.column_stop > field.n_columns + 1:
-        raise DimensionError(
-            f"region {region} exceeds field shape {field.alpha.shape}"
-        )
-    block = field.alpha[
-        region.t_start : region.t_stop, region.column_start - 1 : region.column_stop - 1
-    ]
-    noise = vacuum_noise_stats(x, region.link_count)
-    if noise.sigma_squared == 0.0:
-        raise DegenerateTestError("vacuum noise variance vanishes at X = 0; z-score undefined")
-    mean_alpha = float(block.mean())
-    z = (mean_alpha - noise.mu) / math.sqrt(noise.sigma_squared)
-    return CoarseGrainResult(mean_alpha=mean_alpha, z_score=z, link_count=region.link_count)
-
-
-# ======================================================================
-# Two-branch superposition lifetime
-# ======================================================================
-
-
-@dataclass(frozen=True)
-class SuperpositionDecaySeries:
-    """Per-step record of a two-branch discrimination experiment.
-
-    ``links[s]`` is the cumulative number of discriminating links crossed
-    after step ``s``; ``imbalance[s]`` the absolute difference between the
-    counts of field values matching each branch; ``log_ratio[s]`` the
-    absolute log of the branch amplitude ratio, ``imbalance * |ln(1 - epsilon)|``.
-    """
-
-    links: np.ndarray
-    imbalance: np.ndarray
-    log_ratio: np.ndarray
-
-
-def superposition_lifetime_experiment(
-    block_size: int, epsilon: float, max_steps: int, rng: PrngStream
-) -> SuperpositionDecaySeries:
-    """Simulate field-driven suppression of one branch of a superposition.
-
-    Two macroscopically distinct occupancy branches A and B differ on
-    ``2 * block_size`` columns per step (half occupied only in A, half only
-    in B).  Stationary vertices keep the branches frozen, so each
-    discriminating link draws a field value whose Born weight mixes the two
-    branches; every draw then multiplies the mismatched branch's amplitude
-    by ``X = 1 - epsilon``.  Branch weights never need explicit amplitudes:
-    only the integer imbalance between match counts enters.
-    """
-    if block_size < 1:
-        raise ConfigError(f"block_size must be >= 1, got {block_size}")
-    if max_steps < 1:
-        raise ConfigError(f"max_steps must be >= 1, got {max_steps}")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    x = 1.0 - epsilon
-    x2 = x * x
-    born_denom = 1.0 + x2
-    log_x = math.log(x)
-    # d = (matches for B) - (matches for A); branch A weight = logistic(2 d log X).
-    d = 0
-    links = np.empty(max_steps, dtype=np.int64)
-    imbalance = np.empty(max_steps, dtype=np.int64)
-    log_ratio = np.empty(max_steps)
-    for step in range(max_steps):
-        for _ in range(block_size):
-            for a_occupied in (True, False):
-                log_r = 2.0 * d * log_x
-                if log_r >= 0.0:
-                    w_a = 1.0 / (1.0 + math.exp(-log_r))
-                else:
-                    grow = math.exp(log_r)
-                    w_a = grow / (1.0 + grow)
-                if a_occupied:
-                    p_one = (w_a + (1.0 - w_a) * x2) / born_denom
-                    alpha_matches_a = rng.uniform() < p_one
-                else:
-                    p_one = (w_a * x2 + (1.0 - w_a)) / born_denom
-                    alpha_matches_a = not (rng.uniform() < p_one)
-                d += -1 if alpha_matches_a else 1
-        links[step] = 2 * block_size * (step + 1)
-        imbalance[step] = abs(d)
-        log_ratio[step] = abs(d) * -log_x
-    return SuperpositionDecaySeries(links=links, imbalance=imbalance, log_ratio=log_ratio)
 
 
 # ======================================================================

@@ -6,10 +6,9 @@ Conventions shared by all emitters:
   (the ``csv`` module's defaults).  Floats are written with ``repr`` so a
   round trip through text is bit-exact.
 
-* Images are 8-bit binary PGM (P5).  Values are floats in [0, 1]; with
-  ``invert=True`` (the default) a value of 1.0 maps to black
-  (pixel = round(255 * (1 - value))), matching the convention that occupied
-  sites print dark.
+* Images are 8-bit binary PGM (P5).  Values are floats in [0, 1]; a value
+  of 1.0 maps to black (pixel = round(255 * (1 - value))), matching the
+  convention that occupied sites print dark.
 
 * JSON reports are written with sorted keys, two-space indents and a
   trailing newline.
@@ -54,15 +53,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             writer.writerow([format_value(v) for v in row])
 
 
-def write_pgm(path: str | Path, values: np.ndarray, invert: bool = True) -> None:
+def write_pgm(path: str | Path, values: np.ndarray) -> None:
     """Write a float matrix in [0, 1] as binary PGM; row 0 is the top row."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError(f"image must be a nonempty 2-d array, got shape {grid.shape}")
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]")
-    scaled = (1.0 - grid) if invert else grid
-    pixels = np.rint(255.0 * scaled).astype(np.uint8)
+    pixels = np.rint(255.0 * (1.0 - grid)).astype(np.uint8)
     height, width = pixels.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -51,14 +51,6 @@ MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
-class WavePacketState:
-    """Packet centre position and momentum."""
-
-    x: float
-    p: float
-
-
-@dataclass(frozen=True)
 class QmuplConfig:
     """Coupling ``g``, mass ``m``, step ``dt``, step count ``n``, and start point."""
 
@@ -103,24 +95,6 @@ class ReversedTrajectory:
     x: np.ndarray
     p: np.ndarray
     dB: np.ndarray
-
-
-def step_forward(state: WavePacketState, dB: float, config: QmuplConfig) -> WavePacketState:
-    """One Euler update of the packet centre."""
-    return WavePacketState(
-        x=state.x + (state.p / config.m) * config.dt + dB / math.sqrt(config.m),
-        p=state.p + 0.5 * config.g * dB,
-    )
-
-
-def collapse_centre(x: float, dB: float, g: float, dt: float) -> float:
-    """Observer's position record for one step: ``x + dB / (g dt)``."""
-    return x + dB / (g * dt)
-
-
-def time_reverse_state(state: WavePacketState) -> WavePacketState:
-    """Flip the momentum sign; applying it twice is the identity."""
-    return WavePacketState(x=state.x, p=-state.p)
 
 
 def simulate_forward(

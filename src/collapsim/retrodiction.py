@@ -32,7 +32,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +47,8 @@ from .stats import PrngStream
 
 _COLUMN_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+# Kernel squarings before `stationary` gives up: 2**64 steps.
+_STATIONARY_MAX_DOUBLINGS = 64
 
 # ======================================================================
 # Types
@@ -69,6 +70,8 @@ class MarkovModel:
             raise ConfigError(f"state labels must be nonempty and distinct, got {labels}")
         if kernel.shape != (n, n):
             raise DimensionError(f"kernel shape {kernel.shape} does not match {n} states")
+        if not np.isfinite(kernel).all():
+            raise ConfigError("kernel entries must be finite")
         if kernel.min() < 0.0:
             raise ConfigError("kernel entries must be nonnegative")
         sums = kernel.sum(axis=0)
@@ -103,18 +106,14 @@ class Distribution:
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise DimensionError(f"distribution must be a nonempty vector, got shape {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ConfigError("probabilities must be finite")
         if probs.min() < 0.0:
             raise ConfigError("probabilities must be nonnegative")
         total = float(probs.sum())
         if abs(total - 1.0) > _COLUMN_SUM_TOL:
             raise ConfigError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "probabilities", probs)
-
-    @classmethod
-    def point_mass(cls, size: int, index: int) -> "Distribution":
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return cls(probs)
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -143,7 +142,7 @@ def evolve(model: MarkovModel, dist: Distribution) -> Distribution:
     return Distribution(model.kernel @ dist.probabilities)
 
 
-def stationary(model: MarkovModel, max_doublings: int = 64) -> Distribution:
+def stationary(model: MarkovModel) -> Distribution:
     """Unique attracting fixed point of `evolve`, by power convergence.
 
     Repeatedly squares the kernel; the chain is ergodic exactly when the
@@ -152,7 +151,7 @@ def stationary(model: MarkovModel, max_doublings: int = 64) -> Distribution:
     (the identity, periodic cycles, reducible chains) are rejected.
     """
     power = model.kernel
-    for _ in range(max_doublings):
+    for _ in range(_STATIONARY_MAX_DOUBLINGS):
         squared = power @ power
         spread = float((squared.max(axis=1) - squared.min(axis=1)).max())
         step = float(np.abs(squared - power).max())

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from collapsim.cli import _lattice_batch_worker, main
+from collapsim.cli import _lattice_batch_worker
 from collapsim.lattice import (
     LatticeConfig,
     QuantumState,
@@ -64,6 +64,8 @@ from collapsim.retrodiction import (
     stationary,
 )
 from collapsim.stats import PrngStream, ks_test
+
+from artifact_digests import SMALL_RUNS, digest_lines
 
 BASE_SEED = 20260822
 FULL_SCALE = os.environ.get("COLLAPSIM_ACCEPTANCE_FULL") == "1"
@@ -512,34 +514,16 @@ def test_criterion_11_selection_sets_energy_direction(capsys):
 # 12. Determinism of every experiment
 # ----------------------------------------------------------------------
 
-SMALL_RUNS = {
-    "lattice-run": ("--lattice-n", "8", "--steps", "15"),
-    "lattice-batch": ("--runs", "50", "--lattice-n", "8", "--steps", "30"),
-    "qmupl-run": ("--n-steps", "60"),
-    "qmupl-batch": ("--runs", "50", "--n-steps", "200"),
-    "markov-demo": (),
-    "energy-demo": (
-        "--walk-runs", "100", "--walk-steps", "20",
-        "--grid-half-width", "15", "--runs", "20", "--n-steps", "50",
-    ),
-}
-
 
 def test_criterion_12_byte_identical_replay(capsys, tmp_path):
-    mismatched = []
-    for experiment, extra in SMALL_RUNS.items():
-        outputs = []
-        for attempt in ("a", "b"):
-            out = tmp_path / f"{experiment}-{attempt}"
-            code = main([
-                "--experiment", experiment, "--out", str(out), "--seed", "123", *extra,
-            ])
-            assert code == 0, f"{experiment} exited {code}"
-            outputs.append(
-                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            )
-        if outputs[0] != outputs[1]:
-            mismatched.append(experiment)
+    # Two digest listings of the small runs at one seed; a run that does not
+    # exit 0 stops the listing with its experiment's name.
+    try:
+        listings = [digest_lines(["123"], tmp_path / attempt) for attempt in ("a", "b")]
+    except SystemExit as exc:
+        report(capsys, 12, False, str(exc))
+    differing = set(listings[0]) ^ set(listings[1])
+    mismatched = [name for name in SMALL_RUNS if any(f"/{name}/" in line for line in differing)]
     passed = not mismatched
     report(
         capsys, 12, passed,

@@ -19,7 +19,7 @@ from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
 from collapsim.output import read_pgm, write_csv
 from collapsim.retrodiction import load_kernel
 
-from test_acceptance import SMALL_RUNS
+from artifact_digests import SMALL_RUNS
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -202,6 +202,16 @@ def test_markov_demo_identity_kernel_exits_degenerate(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_markov_demo_nan_kernel_is_a_config_error(tmp_path, capsys):
+    kernel_file = tmp_path / "nan.csv"
+    kernel_file.write_text("target,from_a,from_b\na,nan,0.5\nb,0.5,0.5\n")
+    out = tmp_path / "out"
+    rc = run_cli("--experiment", "markov-demo", "--out", out, "--kernel-file", kernel_file)
+    assert rc == 2
+    assert "kernel entries must be finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_energy_demo_curve_shapes(tmp_path):
     rc = run_cli(
         "--experiment", "energy-demo", "--out", tmp_path, "--seed", "6",
@@ -372,6 +382,23 @@ def test_qmupl_batch_counts_non_finite_runs_as_degenerate(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "uniformity.json").read_text())
     assert (report["degenerate"], report["retained"]) == (20, 0)
+
+
+@pytest.mark.parametrize(
+    "experiment, table",
+    [("qmupl-run", "wave-packet trajectory"), ("energy-demo", "wave-packet energy curve")],
+    ids=["qmupl-run", "energy-demo"],
+)
+def test_overflowing_wave_packet_is_a_config_error(tmp_path, capsys, experiment, table):
+    # The drift overflow of the qmupl-batch case above, which would leave the
+    # single-run tables full of inf/nan.
+    rc = run_cli(
+        "--experiment", experiment, "--out", tmp_path, *SMALL_RUNS[experiment],
+        "--g", "1e300", "--dt", "1e-300", "--mass", "1e-300",
+    )
+    assert rc == 2
+    assert re.search(rf"{table} is not finite at step \d+", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

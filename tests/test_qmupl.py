@@ -9,17 +9,13 @@ from collapsim.lattice_analysis import pvalue_uniformity
 from collapsim.qmupl import (
     MAX_STEPS,
     QmuplConfig,
-    WavePacketState,
     _boundary_response,
     _free_coordinates,
-    collapse_centre,
     ensemble_energy_curve,
     normality_test,
     projected_normality_test,
     reverse_trajectory,
     simulate_forward,
-    step_forward,
-    time_reverse_state,
 )
 from collapsim.stats import PrngStream, standard_normal_cdf
 
@@ -56,23 +52,6 @@ def test_config_rejects_g_dt_that_is_not_positive_finite(g, dt, product):
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         dataclasses.replace(QmuplConfig(g=20.0, m=1.0, dt=0.001, n=10), **{field: value})
-
-
-def test_step_forward_hand_values():
-    state = step_forward(WavePacketState(x=1.0, p=2.0), dB=0.1, config=CONFIG)
-    assert state.x == pytest.approx(1.0 + 2.0 * 0.001 + 0.1)
-    assert state.p == pytest.approx(2.0 + 10.0 * 0.1)
-
-
-def test_collapse_centre_hand_value():
-    assert collapse_centre(1.5, 0.02, g=20.0, dt=0.001) == pytest.approx(1.5 + 1.0)
-
-
-def test_time_reverse_is_involution():
-    state = WavePacketState(x=0.3, p=-1.2)
-    flipped = time_reverse_state(state)
-    assert flipped.x == 0.3 and flipped.p == 1.2
-    assert time_reverse_state(flipped) == state
 
 
 # ----------------------------------------------------------------------
