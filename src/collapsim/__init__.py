@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DegenerateTestError,
     DimensionError,
-    InsufficientDataError,
     InvalidStateError,
     NoUniqueEquilibriumError,
     ResampleExhaustedError,
@@ -78,7 +77,6 @@ __all__ = [
     "DegenerateTestError",
     "DimensionError",
     "Distribution",
-    "InsufficientDataError",
     "InvalidStateError",
     "LatticeConfig",
     "LatticeRunRecord",

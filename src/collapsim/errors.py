@@ -1,13 +1,18 @@
 """Exception types shared across the package.
 
 Every error raised deliberately by library code derives from
-:class:`CollapsimError`, so callers (the CLI in particular) can map failure
-classes onto exit codes without matching on message strings.
+:class:`CollapsimError`, and each class carries the process exit code the
+CLI returns for it: 2 for an invalid configuration, shape or state, 3 for
+:class:`DegenerateTestError` and its subclasses, the statistical
+degeneracies (too few or no usable samples, conditioning on an impossible
+event, no unique equilibrium, no post-selected survivors).
 """
 
 
 class CollapsimError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ConfigError(CollapsimError):
@@ -23,20 +28,18 @@ class InvalidStateError(CollapsimError):
 
 
 class DegenerateTestError(CollapsimError):
-    """A statistical test has no usable data after screening."""
+    """A statistical procedure has too few or no usable samples."""
+
+    exit_code = 3
 
 
-class InsufficientDataError(CollapsimError):
-    """Too few samples to run the requested procedure."""
-
-
-class ConditioningError(CollapsimError):
+class ConditioningError(DegenerateTestError):
     """Conditioning on an event of probability zero."""
 
 
-class NoUniqueEquilibriumError(CollapsimError):
+class NoUniqueEquilibriumError(DegenerateTestError):
     """The Markov kernel has no unique attracting stationary distribution."""
 
 
-class ResampleExhaustedError(CollapsimError):
+class ResampleExhaustedError(DegenerateTestError):
     """Post-selection retained no trajectories within the sampling budget."""

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTestError, DimensionError, InsufficientDataError
+from .errors import ConfigError, DegenerateTestError, DimensionError
 from .lattice import StochasticField
 from .stats import TestReport, chi_squared_sf, ks_test
 
@@ -197,20 +197,20 @@ class UniformityReport:
     bin_count: int
 
 
-def pvalue_uniformity(p_values: Sequence[float], bin_count: int = 20) -> UniformityReport:
-    """Chi-squared and KS uniformity tests on a sample of p-values."""
+def pvalue_uniformity(p_values: Sequence[float]) -> UniformityReport:
+    """Chi-squared and KS uniformity tests on a sample of p-values.
+
+    The chi-squared test bins ``n`` values into 20 equal bins from
+    ``n = 100`` on and into ``max(2, n // 10)`` below, so every bin expects
+    at least 5 values.
+    """
     values = np.asarray(p_values, dtype=float)
-    if bin_count < 2:
-        raise ConfigError(f"bin_count must be >= 2, got {bin_count}")
     if values.ndim != 1 or values.size < 10:
-        raise InsufficientDataError(f"need at least 10 p-values, got shape {values.shape}")
+        raise DegenerateTestError(f"need at least 10 p-values, got shape {values.shape}")
     if values.min() < 0.0 or values.max() > 1.0:
         raise ConfigError("p-values must lie in [0, 1]")
+    bin_count = 20 if values.size >= 100 else max(2, values.size // 10)
     expected = values.size / bin_count
-    if expected < NORMAL_SCREEN_MINIMUM:
-        raise InsufficientDataError(
-            f"{values.size} p-values over {bin_count} bins leaves {expected:.2f} expected per bin"
-        )
     slots = np.minimum((values * bin_count).astype(np.int64), bin_count - 1)
     counts = np.bincount(slots, minlength=bin_count)
     chi = float(((counts - expected) ** 2 / expected).sum())

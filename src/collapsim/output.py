@@ -75,24 +75,12 @@ def write_json(path: str | Path, payload: Mapping) -> None:
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary PGM written by :func:`write_pgm`; returns uint8 pixels."""
     raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    pos += 1
-    if fields[0] != b"P5" or fields[3] != b"255":
+    # Split on newlines only: pixel bytes may be whitespace.
+    header = raw.split(b"\n", 3)
+    if len(header) != 4 or header[0] != b"P5" or header[2] != b"255":
         raise ValueError(f"{path}: not an 8-bit P5 image")
-    width, height = int(fields[1]), int(fields[2])
-    pixels = np.frombuffer(raw[pos : pos + width * height], dtype=np.uint8)
+    width, height = (int(v) for v in header[1].split(b" "))
+    pixels = np.frombuffer(header[3][: width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise ValueError(f"{path}: truncated pixel data")
     return pixels.reshape(height, width)

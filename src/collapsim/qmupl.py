@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InsufficientDataError
+from .errors import ConfigError, DegenerateTestError, DimensionError
 from .stats import PrngStream, TestReport, ks_test, standard_normal_cdf
 
 MAX_STEPS = 100_000
@@ -275,7 +275,7 @@ def projected_normality_test(
     if dB.shape != (n,):
         raise DimensionError(f"increments must have shape ({n},), got {dB.shape}")
     if n < 3:
-        raise InsufficientDataError(f"{n} increments leave no free coordinate")
+        raise DegenerateTestError(f"{n} increments leave no free coordinate")
     pinned, anchor, start, first, second = _boundary_response(
         config.g, config.m, config.dt, n
     )

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTestError, InsufficientDataError
+from .errors import DegenerateTestError
 
 _MASK64 = (1 << 64) - 1
 
@@ -255,7 +255,7 @@ def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> TestRepor
     """
     n = len(sample)
     if n < 10:
-        raise InsufficientDataError(f"KS test needs at least 10 samples, got {n}")
+        raise DegenerateTestError(f"KS test needs at least 10 samples, got {n}")
     values = np.asarray(sample, dtype=float)
     if not np.isfinite(values).all():
         raise DegenerateTestError("KS test sample holds a non-finite value")

@@ -304,11 +304,12 @@ def test_criterion_06_wavepacket_pvalues_uniform(capsys):
     results = fan(wavepacket_run, tasks, chunksize=32)
     p_values = np.array([p_value for p_value, _ in results])
     worst_gap = max(gap for _, gap in results)
-    uniformity = pvalue_uniformity(p_values, bin_count=20)
+    uniformity = pvalue_uniformity(p_values)
     chi = uniformity.chi_squared
     elapsed = time.perf_counter() - started
     passed = (
         p_values.size == 5000
+        and uniformity.bin_count == 20
         and chi.p_value > 0.01
         and worst_gap < PINNED_TOLERANCE
         and elapsed < 300.0

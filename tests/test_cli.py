@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from collapsim import cli
+from collapsim import cli, errors
 from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
-from collapsim.output import read_pgm, write_csv
+from collapsim.output import read_pgm, write_csv, write_pgm
 from collapsim.retrodiction import load_kernel
 
 from artifact_digests import SMALL_RUNS
@@ -38,6 +38,10 @@ def manifest_lines(out_dir):
 def total_variation(image):
     pixels = image.astype(float)
     return float(np.abs(np.diff(pixels, axis=0)).sum() + np.abs(np.diff(pixels, axis=1)).sum())
+
+
+def no_walk(*args, **kwargs):
+    raise AssertionError("momentum_walk_demo ran before the configuration was checked")
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +99,45 @@ def test_lattice_run_vacuum_panels_are_white(tmp_path):
     for name in ("occupancy_forward.pgm", "occupancy_backward.pgm"):
         image = read_pgm(tmp_path / name)
         assert np.all(image == 255)  # occupancy 0 renders as white
+
+
+def test_lattice_run_without_usable_events_reports_degenerate(tmp_path):
+    # At theta = 0 the particle hops without spreading, so every link
+    # probability is 0 or 1 and the screen keeps no bin; the run still
+    # writes every artifact.
+    rc = run_cli(
+        "--experiment", "lattice-run", "--out", tmp_path,
+        "--lattice-n", "8", "--steps", "15", "--collapse-x", "0", "--theta", "0",
+    )
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chi_squared.json", "field.pgm", "links_backward.csv", "links_forward.csv",
+        "manifest.jsonl", "occupancy_backward.pgm", "occupancy_forward.pgm",
+    ]
+    assert json.loads((tmp_path / "chi_squared.json").read_text()) == {
+        "degenerate": True,
+        "reason": "no probability bin passed the normal-approximation screen; total events = 120",
+    }
+
+
+def test_read_pgm_keeps_whitespace_pixels(tmp_path):
+    # Pixels 10 and 32 are the bytes b"\n" and b" ".
+    pixels = np.array([[10, 32, 9], [13, 255, 0]])
+    write_pgm(tmp_path / "panel.pgm", 1.0 - pixels / 255.0)
+    assert np.array_equal(read_pgm(tmp_path / "panel.pgm"), pixels)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(lambda raw: b"P2" + raw[2:], "not an 8-bit P5 image"), (lambda raw: raw[:-1], "truncated pixel data")],
+    ids=["not-p5", "truncated"],
+)
+def test_read_pgm_rejects_damaged_files(tmp_path, damage, message):
+    path = tmp_path / "panel.pgm"
+    write_pgm(path, np.array([[0.0, 0.5], [1.0, 0.25]]))
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
 
 
 # ----------------------------------------------------------------------
@@ -261,9 +304,6 @@ def test_energy_demo_zero_variance_is_flat(tmp_path):
 def test_energy_demo_failure_writes_nothing(tmp_path, monkeypatch, flags, code, walks):
     if not walks:
         # A configuration error must fail before any momentum walk starts.
-        def no_walk(*args, **kwargs):
-            raise AssertionError("momentum_walk_demo ran before the runs check")
-
         monkeypatch.setattr(cli, "momentum_walk_demo", no_walk)
     out = tmp_path / "out"
     assert run_cli("--experiment", "energy-demo", "--out", out, *flags) == code
@@ -389,15 +429,47 @@ def test_qmupl_batch_counts_non_finite_runs_as_degenerate(tmp_path):
     [("qmupl-run", "wave-packet trajectory"), ("energy-demo", "wave-packet energy curve")],
     ids=["qmupl-run", "energy-demo"],
 )
-def test_overflowing_wave_packet_is_a_config_error(tmp_path, capsys, experiment, table):
+def test_overflowing_wave_packet_is_a_config_error(tmp_path, capsys, monkeypatch, experiment, table):
     # The drift overflow of the qmupl-batch case above, which would leave the
-    # single-run tables full of inf/nan.
+    # single-run tables full of inf/nan.  energy-demo finds it before any walk.
+    monkeypatch.setattr(cli, "momentum_walk_demo", no_walk)
     rc = run_cli(
         "--experiment", experiment, "--out", tmp_path, *SMALL_RUNS[experiment],
         "--g", "1e300", "--dt", "1e-300", "--mass", "1e-300",
     )
     assert rc == 2
     assert re.search(rf"{table} is not finite at step \d+", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def error_classes(base=errors.CollapsimError):
+    for subclass in base.__subclasses__():
+        if subclass.__module__ == errors.__name__:
+            yield subclass
+        yield from error_classes(subclass)
+
+
+# The exit codes the README states for each error class.
+README_EXIT_CODES = {
+    "ConfigError": 2,
+    "DimensionError": 2,
+    "InvalidStateError": 2,
+    "DegenerateTestError": 3,
+    "ConditioningError": 3,
+    "NoUniqueEquilibriumError": 3,
+    "ResampleExhaustedError": 3,
+}
+
+
+@pytest.mark.parametrize("error", list(error_classes()), ids=lambda error: error.__name__)
+def test_each_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch, error):
+    def fail(params):
+        raise error("planted failure")
+
+    monkeypatch.setitem(EXPERIMENTS, "markov-demo", cli.Experiment(fail, 1))
+    rc = run_cli("--experiment", "markov-demo", "--out", tmp_path)
+    assert rc == README_EXIT_CODES[error.__name__]
+    assert capsys.readouterr().err == "collapsim: planted failure\n"
     assert list(tmp_path.iterdir()) == []
 
 

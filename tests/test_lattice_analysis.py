@@ -7,7 +7,6 @@ from collapsim.errors import (
     ConfigError,
     DegenerateTestError,
     DimensionError,
-    InsufficientDataError,
 )
 from collapsim.lattice import LatticeConfig, StochasticField, build_basis_state, run_forward
 from collapsim.lattice_analysis import (
@@ -193,11 +192,15 @@ def test_pvalue_uniformity_rejects_skewed_sample():
 
 
 def test_pvalue_uniformity_needs_enough_data():
-    with pytest.raises(InsufficientDataError):
-        pvalue_uniformity([0.5] * 60, bin_count=20)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateTestError, match=r"need at least 10 p-values, got shape \(5,\)"):
         pvalue_uniformity([0.5] * 5)
     with pytest.raises(ConfigError):
-        pvalue_uniformity([0.5] * 100, bin_count=1)
-    with pytest.raises(ConfigError):
         pvalue_uniformity([1.5] * 100)
+
+
+@pytest.mark.parametrize("size, bins", [(10, 2), (19, 2), (99, 9), (100, 20), (5000, 20)])
+def test_pvalue_uniformity_bins_expect_at_least_five(size, bins):
+    report = pvalue_uniformity(np.linspace(0.0, 1.0, size))
+    assert report.bin_count == bins
+    assert report.bin_counts.size == bins
+    assert size / report.bin_count >= 5

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from collapsim.errors import ConfigError, DegenerateTestError, DimensionError, InsufficientDataError
+from collapsim.errors import ConfigError, DegenerateTestError, DimensionError
 from collapsim.lattice_analysis import pvalue_uniformity
 from collapsim.qmupl import (
     MAX_STEPS,
@@ -303,10 +303,10 @@ def test_projected_normality_test_guards():
     with pytest.raises(DimensionError):
         projected_normality_test(np.zeros(999), 0.0, 0.0, CONFIG)
     tiny = QmuplConfig(g=20.0, m=1.0, dt=0.001, n=2)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateTestError, match="2 increments leave no free coordinate"):
         projected_normality_test(np.zeros(2), 0.0, 0.0, tiny)
     short = QmuplConfig(g=20.0, m=1.0, dt=0.001, n=11)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateTestError, match="KS test needs at least 10 samples, got 9"):
         projected_normality_test(np.zeros(11), 0.0, 0.0, short)
 
 
@@ -331,7 +331,7 @@ def projected_check(trajectories, back_solve):
         )
         p_values.append(report.free.p_value)
         missed += report.pinned_gap > PINNED_TOLERANCE
-    uniformity = pvalue_uniformity(np.array(p_values), bin_count=20).chi_squared
+    uniformity = pvalue_uniformity(np.array(p_values)).chi_squared
     return uniformity.p_value, missed / len(trajectories)
 
 
@@ -404,7 +404,7 @@ def test_overflowing_run_fails_the_normality_test():
 def test_normality_test_guards():
     with pytest.raises(ConfigError):
         normality_test(np.zeros(100), 0.0)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateTestError, match="KS test needs at least 10 samples, got 5"):
         normality_test(np.zeros(5), 0.001)
 
 
@@ -498,7 +498,7 @@ def test_float_recursions_match_element_loops(n):
         scale = 1.0 / math.sqrt(config.dt)
         slow_standardized = [v * scale for v in back.dB]
         if n < 10:
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(DegenerateTestError, match="KS test needs at least 10 samples"):
                 normality_test(back.dB, config.dt)
         else:
             report = normality_test(back.dB, config.dt)

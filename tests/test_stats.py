@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from collapsim.errors import DegenerateTestError, InsufficientDataError
+from collapsim.errors import DegenerateTestError
 from collapsim.stats import (
     GAMMA,
     PrngStream,
@@ -270,7 +270,7 @@ def test_ks_calibration_under_null():
 
 
 def test_ks_requires_minimum_sample():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateTestError, match="KS test needs at least 10 samples, got 9"):
         ks_test([0.1] * 9, standard_normal_cdf)
 
 
