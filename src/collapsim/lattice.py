@@ -29,7 +29,10 @@ One time step interleaves two kinds of events, swept left to right:
   whose squares sum to the identity.  ``X = 1`` makes both jumps trivial and
   ``X = 0`` makes them projective.  The state is renormalized after every
   jump; sampling uses only norm ratios, so this is purely a numerical-
-  hygiene choice.
+  hygiene choice.  Renormalizing multiplies by the reciprocal norm: numpy
+  divides complex by real as ``a * (1 / r)`` through its complex-division
+  loop, which costs about ten times as much for the same values (only the
+  sign of an exact zero can differ, and every output is a squared modulus).
 
 Forward and reverse-time runs are one pass over the same list of events.
 A reverse-time run walks the forward event order reversed, with the field
@@ -201,51 +204,59 @@ def conjugate(state: QuantumState) -> QuantumState:
 # ======================================================================
 
 
-def _column_half(amps: np.ndarray, n_columns: int, column: int, occupied: int) -> np.ndarray:
-    """View of the amplitudes whose column bit equals ``occupied``."""
+def _column_halves(amps: np.ndarray, n_columns: int, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the amplitudes whose ``column`` bit is 0 and 1, in that order."""
     p = column - 1
     view = amps.reshape(1 << (n_columns - 1 - p), 2, 1 << p)
-    return view[:, occupied, :]
+    return view[:, 0, :], view[:, 1, :]
 
-def _vertex_inplace(amps: np.ndarray, n_columns: int, left_column: int, theta: float) -> None:
-    a = left_column
-    b = a % n_columns + 1
-    pa, pb = a - 1, b - 1
-    hi, lo = (pa, pb) if pa > pb else (pb, pa)
+def _occupied_parts(amps: np.ndarray, n_columns: int, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary views of the amplitudes with ``column`` occupied."""
+    sub = _column_halves(amps, n_columns, column)[1]
+    return sub.real, sub.imag
+
+def _vertex_blocks(amps: np.ndarray, n_columns: int, left_column: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(01, 10)`` block views of the vertex on ``left_column`` and its right neighbour.
+
+    Where the pair wraps the ring they come swapped; the vertex mixes the two
+    blocks symmetrically, so their order changes no bit of the result.
+    """
+    pa, pb = left_column - 1, left_column % n_columns
+    hi, lo = max(pa, pb), min(pa, pb)
     view = amps.reshape(1 << (n_columns - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return view[:, 1, :, 0, :], view[:, 0, :, 1, :]
 
-    def block(bit_a: int, bit_b: int) -> np.ndarray:
-        bit_hi = bit_a if hi == pa else bit_b
-        bit_lo = bit_a if lo == pa else bit_b
-        return view[:, bit_hi, :, bit_lo, :]
+def _vertex_constants(theta: float) -> tuple[complex, float]:
+    return 1j * math.sin(theta), math.cos(theta)
 
-    s01 = block(0, 1)
-    s10 = block(1, 0)
-    diag = 1j * math.sin(theta)
-    off = math.cos(theta)
+def _jump_constants(x: float) -> tuple[float, float]:
+    """Factors of the favoured and the suppressed branch: ``1/sqrt(1+X^2)`` and ``X`` times it."""
+    scale = 1.0 / math.sqrt(1.0 + x * x)
+    return scale, x * scale
+
+def _vertex_inplace(s01: np.ndarray, s10: np.ndarray, diag: complex, off: float) -> None:
     kept = s01.copy()
     s01[...] = diag * kept + off * s10
     s10[...] = off * kept + diag * s10
 
-def _jump_inplace(amps: np.ndarray, n_columns: int, column: int, alpha: int, x: float) -> None:
-    scale = 1.0 / math.sqrt(1.0 + x * x)
-    suppressed = _column_half(amps, n_columns, column, 1 - alpha)
-    suppressed *= x * scale  # the branch disfavoured by alpha is de-amplified by X
-    favoured = _column_half(amps, n_columns, column, alpha)
+def _jump_inplace(halves: tuple[np.ndarray, np.ndarray], alpha: int, scale: float, x_scale: float) -> None:
+    suppressed = halves[1 - alpha]
+    suppressed *= x_scale  # the branch disfavoured by alpha is de-amplified by X
+    favoured = halves[alpha]
     favoured *= scale
 
-def _occupancy(amps: np.ndarray, n_columns: int, column: int, norm_squared: float) -> float:
-    sub = _column_half(amps, n_columns, column, 1)
-    re, im = sub.real, sub.imag
+def _occupancy(re: np.ndarray, im: np.ndarray, norm_squared: float) -> float:
     weight = np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)
     return float(weight) / norm_squared
 
-def _renormalize(amps: np.ndarray) -> float:
-    norm_squared = float(np.vdot(amps, amps).real)
+def _unit_scale(norm_squared: float, message: str) -> float:
+    """Reciprocal norm that rescales a state to unit norm; a zero norm raises."""
     if not norm_squared > 0.0:
-        raise InvalidStateError("state collapsed to zero norm")
-    amps /= math.sqrt(norm_squared)
-    return norm_squared
+        raise InvalidStateError(message)
+    return 1.0 / math.sqrt(norm_squared)
+
+def _renormalize(amps: np.ndarray) -> None:
+    amps *= _unit_scale(float(np.vdot(amps, amps).real), "state collapsed to zero norm")
 
 
 def _link_probability(occ: float, x: float) -> float:
@@ -266,7 +277,7 @@ def apply_vertex(state: QuantumState, i: int, theta: float) -> QuantumState:
     if not 1 <= i <= n:
         raise DimensionError(f"vertex column must lie in 1..{n}, got {i}")
     amps = state.amplitudes.copy()
-    _vertex_inplace(amps, n, i, theta)
+    _vertex_inplace(*_vertex_blocks(amps, n, i), *_vertex_constants(theta))
     return QuantumState(amps)
 
 
@@ -280,15 +291,15 @@ def apply_jump(state: QuantumState, i: int, alpha: int, x: float) -> QuantumStat
     if not 0.0 <= x <= 1.0:
         raise ConfigError(f"collapse_x must lie in [0, 1], got {x}")
     amps = state.amplitudes.copy()
-    _jump_inplace(amps, n, i, int(alpha), x)
+    _jump_inplace(_column_halves(amps, n, i), int(alpha), *_jump_constants(x))
     return QuantumState(amps)
 
 
 def normalize(state: QuantumState) -> QuantumState:
     """Rescale a state to unit norm."""
-    if not state.norm_squared > 0.0:
-        raise InvalidStateError("cannot normalize a zero state")
-    return QuantumState(state.amplitudes / math.sqrt(state.norm_squared))
+    return QuantumState(
+        state.amplitudes * _unit_scale(state.norm_squared, "cannot normalize a zero state")
+    )
 
 
 def occupancy_expectation(state: QuantumState, i: int) -> float:
@@ -298,7 +309,7 @@ def occupancy_expectation(state: QuantumState, i: int) -> float:
         raise DimensionError(f"column must lie in 1..{n}, got {i}")
     if not state.norm_squared > 0.0:
         raise InvalidStateError("occupancy undefined for a zero state")
-    return _occupancy(state.amplitudes, n, i, state.norm_squared)
+    return _occupancy(*_occupied_parts(state.amplitudes, n, i), state.norm_squared)
 
 
 def link_collapse_probability(state: QuantumState, i: int, x: float) -> float:
@@ -340,26 +351,32 @@ def _pass(config: LatticeConfig, amps: np.ndarray, alpha_at, backward: bool = Fa
     ``alpha = 1`` is evaluated, ``alpha_at(t, slot, p_one)`` gives the field
     value, the jump is applied and the state renormalized.  Returns the
     per-link probabilities and the occupancies sampled after each jump.
+    ``amps`` only changes in place, so each kernel's views and constants are
+    built once per pass.
     """
     n = config.n_columns
     x = config.collapse_x
+    vertex = _vertex_constants(config.theta)
+    jump = _jump_constants(x)
+    blocks = [_vertex_blocks(amps, n, column) for column in range(1, n + 1)]
+    halves = [_column_halves(amps, n, column) for column in range(1, n + 1)]
+    parts = [_occupied_parts(amps, n, column) for column in range(1, n + 1)]
     events = []
     for t in range(config.steps):
         for k in range(1, config.n_vertices + 1):
             left, right = vertex_columns(t, k, config.n_vertices)
-            events += ((t, left, False), (t, left, True), (t, right, True))
+            events += ((t, left - 1, False), (t, left - 1, True), (t, right - 1, True))
     probabilities = np.empty((config.steps, n))
     occupancy = np.empty((config.steps, n))
-    for t, column, is_link in reversed(events) if backward else events:
+    for t, slot, is_link in reversed(events) if backward else events:
         if not is_link:
-            _vertex_inplace(amps, n, column, config.theta)
+            _vertex_inplace(*blocks[slot], *vertex)
             continue
-        slot = column - 1
-        p_one = _link_probability(_occupancy(amps, n, column, 1.0), x)
-        _jump_inplace(amps, n, column, alpha_at(t, slot, p_one), x)
+        p_one = _link_probability(_occupancy(*parts[slot], 1.0), x)
+        _jump_inplace(halves[slot], alpha_at(t, slot, p_one), *jump)
         _renormalize(amps)
         probabilities[t, slot] = p_one
-        occupancy[t, slot] = _occupancy(amps, n, column, 1.0)
+        occupancy[t, slot] = _occupancy(*parts[slot], 1.0)
     return probabilities, occupancy
 
 

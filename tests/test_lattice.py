@@ -7,6 +7,7 @@ import pytest
 from collapsim.errors import ConfigError, DimensionError, InvalidStateError
 from collapsim.lattice import (
     MAX_COLUMNS,
+    _renormalize,
     LatticeConfig,
     QuantumState,
     StochasticField,
@@ -339,3 +340,127 @@ def test_conjugate_is_involution():
     state = random_state(4, np_rng)
     assert np.array_equal(conjugate(conjugate(state)).amplitudes, state.amplitudes)
     assert conjugate(state).norm_squared == pytest.approx(state.norm_squared, abs=1e-14)
+
+
+# ----------------------------------------------------------------------
+# Fast kernels against the slow path they replaced
+# ----------------------------------------------------------------------
+
+
+def _unnormalized_state(kind: str, n_columns: int, np_rng: np.random.Generator) -> np.ndarray:
+    """Amplitudes of one of three kinds, deliberately off unit norm."""
+    dim = 1 << n_columns
+    amps = np.zeros(dim, dtype=np.complex128)
+    if kind == "one-particle":
+        index = 1 << np.arange(n_columns)
+        amps[index] = np_rng.normal(size=n_columns) + 1j * np_rng.normal(size=n_columns)
+        return amps * 0.37
+    amps[:] = np_rng.normal(size=dim) + 1j * np_rng.normal(size=dim)
+    if kind == "signed-zeros":
+        parts = amps.view(np.float64)
+        chosen = np_rng.random(parts.size) < 0.3
+        parts[chosen] = np.where(np_rng.random(chosen.sum()) < 0.5, 0.0, -0.0)
+    return amps
+
+
+@pytest.mark.parametrize("kind", ["dense", "one-particle", "signed-zeros"])
+@pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
+def test_renormalize_matches_division(kind, n_columns):
+    # Multiplying by the reciprocal norm gives the values that dividing by
+    # the norm gave; only the sign of an exact zero may differ, and
+    # np.array_equal counts +0.0 and -0.0 as equal.
+    amps = _unnormalized_state(kind, n_columns, np.random.default_rng([13, n_columns]))
+    norm_squared = float(np.vdot(amps, amps).real)
+    expected = amps / math.sqrt(norm_squared)
+    _renormalize(amps)
+    assert np.array_equal(amps.view(np.float64), expected.view(np.float64))
+
+
+def _division_pass(config, amps, alpha_at, backward=False):
+    """The per-event loop that ``lattice._pass`` replaced, kept as its oracle.
+
+    Every event rebuilds its reshaped views and recomputes its constants, and
+    each jump is renormalized by dividing by the norm.
+    """
+    n = config.n_columns
+    x = config.collapse_x
+
+    def half(column, occupied):
+        p = column - 1
+        return amps.reshape(1 << (n - 1 - p), 2, 1 << p)[:, occupied, :]
+
+    def occupancy_of(column):
+        sub = half(column, 1)
+        re, im = sub.real, sub.imag
+        return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
+
+    events = []
+    for t in range(config.steps):
+        for k in range(1, config.n_vertices + 1):
+            left, right = vertex_columns(t, k, config.n_vertices)
+            events += ((t, left, False), (t, left, True), (t, right, True))
+    probabilities = np.empty((config.steps, n))
+    occupancy = np.empty((config.steps, n))
+    for t, column, is_link in reversed(events) if backward else events:
+        if not is_link:
+            pa, pb = column - 1, column % n
+            hi, lo = max(pa, pb), min(pa, pb)
+            view = amps.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            s01 = view[:, int(hi == pb), :, int(lo == pb), :]
+            s10 = view[:, int(hi == pa), :, int(lo == pa), :]
+            diag = 1j * math.sin(config.theta)
+            off = math.cos(config.theta)
+            kept = s01.copy()
+            s01[...] = diag * kept + off * s10
+            s10[...] = off * kept + diag * s10
+            continue
+        slot = column - 1
+        occ = occupancy_of(column)
+        p_one = (x * x + (1.0 - x * x) * occ) / (1.0 + x * x)
+        alpha = alpha_at(t, slot, p_one)
+        scale = 1.0 / math.sqrt(1.0 + x * x)
+        suppressed = half(column, 1 - alpha)
+        suppressed *= x * scale
+        favoured = half(column, alpha)
+        favoured *= scale
+        amps /= math.sqrt(float(np.vdot(amps, amps).real))
+        probabilities[t, slot] = p_one
+        occupancy[t, slot] = occupancy_of(column)
+    return probabilities, occupancy
+
+
+def _start_state(start: str, n_columns: int) -> QuantumState:
+    if start == "single-particle":
+        return single_particle_state(n_columns, n_columns // 2)
+    if start == "vacuum":
+        return build_basis_state([0] * n_columns)
+    return random_state(n_columns, np.random.default_rng([17, n_columns]))
+
+
+@pytest.mark.parametrize("x", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("start", ["single-particle", "vacuum", "all-sector"])
+@pytest.mark.parametrize("n_columns", [4, 8, 12, 16])
+def test_pass_matches_division_loop(n_columns, start, x):
+    # Forward from the start state, then backward on the recorded field from
+    # the conjugated final state, through the pass and through the oracle.
+    config = LatticeConfig(n_columns, x, 0.9, steps=3 if n_columns == 16 else 5)
+    initial = _start_state(start, n_columns)
+    record, final = run_forward(config, initial, PrngStream(n_columns))
+    back, recovered = run_backward(config, record.field, conjugate(final))
+
+    rng = PrngStream(n_columns)
+    amps = initial.amplitudes.copy()
+    probabilities, occupancy = _division_pass(
+        config, amps, lambda t, slot, p_one: 1 if rng.uniform() < p_one else 0
+    )
+    assert probabilities.tobytes() == record.probabilities.tobytes()
+    assert occupancy.tobytes() == record.occupancy.tobytes()
+    assert np.array_equal(amps, final.amplitudes)
+
+    amps = np.conj(amps)
+    probabilities, occupancy = _division_pass(
+        config, amps, lambda t, slot, p_one: int(record.field.alpha[t, slot]), backward=True
+    )
+    assert probabilities.tobytes() == back.probabilities.tobytes()
+    assert occupancy.tobytes() == back.occupancy.tobytes()
+    assert np.array_equal(amps, recovered.amplitudes)
