@@ -10,10 +10,12 @@ Subpackages by theme:
   comparing a recorded field against backward-pass probabilities, and the
   uniformity check over many runs' p-values.
 * :mod:`collapsim.qmupl` — continuous wave-packet collapse: forward Euler
-  trajectories, exact back-solved reversals, ensemble energy growth.
+  trajectories and exact back-solved reversals, one trajectory type for
+  both, and ensemble energy growth.
 * :mod:`collapsim.retrodiction` — finite Markov chains: Bayesian
-  retrodiction, equilibrium reverse kernels, two-time conditioning, and the
-  pre-/post-selected momentum-walk demonstration.
+  retrodiction, equilibrium reverse kernels, one two-point conditioning rule
+  for both time directions, and the pre-/post-selected momentum-walk
+  demonstration.
 * :mod:`collapsim.stats` — deterministic splittable PRNG and the special
   functions behind the KS and chi-squared reports.
 * :mod:`collapsim.output` / :mod:`collapsim.cli` — artifact emission (CSV,
@@ -60,8 +62,8 @@ from .retrodiction import (
     equilibrium_retrodiction,
     evolve,
     momentum_walk_demo,
+    pinned_inference,
     retrodict,
-    smoothed_inference,
     stationary,
 )
 from .stats import PrngStream, TestReport, ks_test
@@ -97,6 +99,7 @@ __all__ = [
     "evolve",
     "ks_test",
     "momentum_walk_demo",
+    "pinned_inference",
     "pvalue_uniformity",
     "retrodict",
     "reversal_chi_squared",
@@ -105,6 +108,5 @@ __all__ = [
     "run_forward",
     "simulate_forward",
     "single_particle_state",
-    "smoothed_inference",
     "stationary",
 ]

@@ -11,9 +11,15 @@ Experiments
                    and collapse-centre record
     qmupl-batch    normality of back-solved increments over many runs
     markov-demo    retrodiction tables for a finite chain (stationary state,
-                   reverse kernel, posteriors, two-time conditioning)
+                   reverse kernel, posteriors, two-time conditioning read
+                   with the pins in either order)
     energy-demo    pre- vs post-selected momentum-walk energy curves next to
                    the wave-packet ensemble energy curve
+
+Each model states its law once for both time directions: lattice-run walks
+one event list forward and then reversed, qmupl-run back-solves the forward
+recursion against the collapse record it wrote, and markov-demo calls one
+two-point rule with the pins swapped.
 
 Configuration is layered: built-in defaults (the reference figure
 parameters), then a key=value config file (--config), then explicit flags.
@@ -72,11 +78,10 @@ from .retrodiction import (
     equilibrium_retrodiction,
     load_kernel,
     momentum_walk_demo,
-    postselected_prediction,
+    pinned_inference,
     retrodict,
     save_distribution,
     save_kernel,
-    smoothed_inference,
     stationary,
 )
 from .stats import PrngStream
@@ -304,12 +309,13 @@ def run_markov_demo(params: dict) -> list:
         for i, source_label in enumerate(model.states):
             retrodiction_rows.append((observed_label, source_label, posterior.probabilities[i]))
 
-    # Two-time conditioning on a 4-step window: pin the first state at the
-    # boundary (time 0), observe the last state at the far end, and report
-    # the interior distribution at the midpoint — once forward, once mirrored.
+    # Two-time conditioning on a 4-step window, read at its midpoint: the
+    # first state pinned at time 0 and the last observed 4 steps later, then
+    # the same pins swapped, the first state selected at time 0 and the last
+    # observed 4 steps earlier.
     first, last = 0, model.size - 1
-    smoothed = smoothed_inference(model, SelectionSpec(0, first), SelectionSpec(4, last), 2)
-    mirrored = postselected_prediction(model, SelectionSpec(0, first), SelectionSpec(-4, last), -2)
+    smoothed = pinned_inference(model, SelectionSpec(0, first), SelectionSpec(4, last), 2)
+    mirrored = pinned_inference(model, SelectionSpec(-4, last), SelectionSpec(0, first), -2)
     selection_rows = []
     for label, value in zip(model.states, smoothed.probabilities):
         selection_rows.append(("smoothed", 2, label, value))

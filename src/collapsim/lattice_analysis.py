@@ -113,18 +113,16 @@ class ChiSquaredReport:
 
 
 def reversal_chi_squared(
-    field: StochasticField,
-    reverse_probabilities: np.ndarray,
-    bins: BinSpec = DEFAULT_BINS,
+    field: StochasticField, reverse_probabilities: np.ndarray
 ) -> ChiSquaredReport:
     """Score realized field values against reverse-run link probabilities.
 
-    Links are pooled over the whole run and grouped by their reverse-time
-    probability of ``alpha = 1``.  Within bin j, with m_j events whose mean
-    probability is pbar_j, the observed count of ones n_j is compared to a
-    normal with mean m_j pbar_j and variance m_j pbar_j (1 - pbar_j); bins
-    failing the normal screen (expected ones or zeros below
-    ``NORMAL_SCREEN_MINIMUM``) are dropped.  The statistic sums the squared
+    Links are pooled over the whole run and grouped into ``DEFAULT_BINS`` by
+    their reverse-time probability of ``alpha = 1``.  Within bin j, with m_j
+    events whose mean probability is pbar_j, the observed count of ones n_j
+    is compared to a normal with mean m_j pbar_j and variance
+    m_j pbar_j (1 - pbar_j); bins failing the normal screen (expected ones or
+    zeros below ``NORMAL_SCREEN_MINIMUM``) are dropped.  The statistic sums the squared
     standardized residuals of the retained bins and is referred to a
     chi-squared distribution with one degree of freedom per retained bin.
     """
@@ -137,8 +135,8 @@ def reversal_chi_squared(
         raise ConfigError("probabilities must lie in [0, 1]")
     flat_p = probs.ravel()
     flat_alpha = field.alpha.ravel().astype(np.int64)
-    edges = np.asarray(bins.boundaries)
-    assignment = np.searchsorted(edges, flat_p, side="right")
+    bins = DEFAULT_BINS
+    assignment = np.searchsorted(np.asarray(bins.boundaries), flat_p, side="right")
 
     events = np.bincount(assignment, minlength=bins.count)
     ones = np.bincount(assignment, weights=flat_alpha, minlength=bins.count)

@@ -22,6 +22,10 @@ centres:
     x'_{i-1}  = x'_i + (p'_i / m) dt + dB'_{i-1} / sqrt(m)
     p'_{i-1}  = p'_i + (g / 2) dB'_{i-1}
 
+Both directions return one ``WavePacketTrajectory(x, p, z, dB)`` indexed in
+forward time: the forward run's ``z`` is the record it wrote, the
+back-solve's the record it consumed.
+
 If the implied increments ``dB'`` pass a normality test at scale
 ``sqrt(dt)``, the record is statistically indistinguishable from one
 generated in reverse time, except for two combinations of ``dB'`` that the
@@ -80,20 +84,16 @@ class QmuplConfig:
 
 @dataclass(frozen=True)
 class WavePacketTrajectory:
-    """Forward run: ``x`` and ``p`` have length n + 1, ``z`` and ``dB`` length n."""
+    """A run in either time direction, indexed in forward time.
+
+    ``x`` and ``p`` have length n + 1; ``z``, the collapse-centre record, and
+    ``dB``, the increments, have length n.  A forward run writes ``z``; a
+    back-solve carries the record it consumed.
+    """
 
     x: np.ndarray
     p: np.ndarray
     z: np.ndarray
-    dB: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReversedTrajectory:
-    """Back-solved run: ``x`` and ``p`` have length n + 1, ``dB`` length n."""
-
-    x: np.ndarray
-    p: np.ndarray
     dB: np.ndarray
 
 
@@ -124,23 +124,28 @@ def simulate_forward(
     g_dt = config.g * dt
     half_g = 0.5 * config.g
     x, p = float(config.x0), float(config.p0)
-    xs, ps, zs = [x], [p], []
+    xs, ps = [x], [p]
     for step in steps:
-        zs.append(x + step / g_dt)
         x, p = x + (p / m) * dt + step / sqrt_m, p + half_g * step
         xs.append(x)
         ps.append(p)
-    return WavePacketTrajectory(x=np.array(xs), p=np.array(ps), z=np.array(zs), dB=dB)
+    x_array = np.array(xs)
+    # numpy rounds each element exactly as the scalar update would; an
+    # overflow gives inf quietly, as Python float arithmetic does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x_array[:-1] + dB / g_dt
+    return WavePacketTrajectory(x=x_array, p=np.array(ps), z=z, dB=dB)
 
 
 def reverse_trajectory(
     z: Sequence[float], x_n: float, p_n: float, config: QmuplConfig
-) -> ReversedTrajectory:
+) -> WavePacketTrajectory:
     """Back-solve a trajectory from the recorded centres and the forward end point.
 
     ``(x_n, p_n)`` is the forward run's final state.  The reversal anchors at
     the position unchanged and flips the momentum sign itself, then runs the
-    recursion ``i = n .. 1``, filling the primed arrays down to index 0.
+    recursion ``i = n .. 1``, filling the primed arrays down to index 0.  The
+    result carries the record ``z`` it was solved against.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
@@ -158,8 +163,8 @@ def reverse_trajectory(
         xs.append(x)
         ps.append(p)
         steps.append(step)
-    return ReversedTrajectory(
-        x=np.array(xs[::-1]), p=np.array(ps[::-1]), dB=np.array(steps[::-1])
+    return WavePacketTrajectory(
+        x=np.array(xs[::-1]), p=np.array(ps[::-1]), z=centres, dB=np.array(steps[::-1])
     )
 
 

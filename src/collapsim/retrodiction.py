@@ -10,11 +10,11 @@ forward rule (`evolve`) this module provides:
   is stationary (`equilibrium_retrodiction`) — the unique situation in which
   retrodiction is itself a time-independent stochastic rule;
 
-* two-point conditioning: `smoothed_inference` (pin the state at time 0 and
-  observe a later state) and its mirror `postselected_prediction` (pin the
-  state at time 0 and observe an earlier one).  Both are one two-point rule
-  over an early and a late pin; post-selection is that rule with the pins
-  swapped, the observation becoming the early pin;
+* two-point conditioning, `pinned_inference`: the interior distribution of
+  a chain pinned at an early and a late time.  Smoothing (prepare a state,
+  observe a later one) and post-selection (select a state, observe an
+  earlier one) are this one rule with the pins swapped; neither direction
+  has an entry point of its own;
 
 * `momentum_walk_demo`, a bounded random walk over integer momentum levels
   showing that the direction in which "energy grows" follows the boundary
@@ -122,10 +122,10 @@ class Distribution:
 
 @dataclass(frozen=True)
 class SelectionSpec:
-    """A pinned state at a fixed time step (pre- or post-selection boundary)."""
+    """A pinned state (label or index) at a fixed time step."""
 
     time: int
-    state: int
+    state: int | str
 
 
 # ======================================================================
@@ -214,58 +214,38 @@ def equilibrium_retrodiction(model: MarkovModel, p_e: Distribution) -> np.ndarra
     return model.kernel.T * probs[:, None] / probs[None, :]
 
 
-def _pinned(model: MarkovModel, early: SelectionSpec, late: SelectionSpec, t: int) -> Distribution:
-    """Two-point rule for pins holding state indices, early.time < t < late.time:
-    P(i at t) is proportional to kernel^(late - t)[late, i] kernel^(t - early)[i, early]."""
+def pinned_inference(
+    model: MarkovModel, early: SelectionSpec, late: SelectionSpec, t: int
+) -> Distribution:
+    """Interior distribution at time ``t`` of a chain pinned at both ends.
+
+    One rule serves both time directions: smoothing pins a prepared state
+    early and observes a later one, post-selection pins a selected state late
+    and observes an earlier one.  For ``early.time < t < late.time``,
+
+        P(i at t) is proportional to
+        kernel^(late.time - t)[late, i] kernel^(t - early.time)[i, early].
+
+    Pin states are labels or indices.  A joint boundary of probability zero
+    raises ``ConditioningError``.
+    """
+    if not early.time < t < late.time:
+        raise ConfigError(
+            f"need early.time < t < late.time, got {early.time}, {t}, {late.time}"
+        )
+    first = model.index_of(early.state)
+    last = model.index_of(late.state)
     weights = (
-        np.linalg.matrix_power(model.kernel, late.time - t)[late.state, :]
-        * np.linalg.matrix_power(model.kernel, t - early.time)[:, early.state]
+        np.linalg.matrix_power(model.kernel, late.time - t)[last, :]
+        * np.linalg.matrix_power(model.kernel, t - early.time)[:, first]
     )
     total = float(weights.sum())
     if total <= 0.0:
         raise ConditioningError(
-            f"joint boundary ({model.states[early.state]!r} at {early.time}, "
-            f"{model.states[late.state]!r} at {late.time}) has probability zero"
+            f"joint boundary ({model.states[first]!r} at {early.time}, "
+            f"{model.states[last]!r} at {late.time}) has probability zero"
         )
     return Distribution(weights / total)
-
-
-def smoothed_inference(
-    model: MarkovModel, pre_select: SelectionSpec, observed: SelectionSpec, t1: int
-) -> Distribution:
-    """Interior inference pinned at both ends: state at time 0 and at ``observed.time``.
-
-    P(i at t1 | j at tf, s0 at 0) is proportional to
-    (forward filter)   kernel^t1 [i, s0]
-    (backward likelihood) kernel^(tf - t1) [j, i].
-    """
-    if pre_select.time != 0:
-        raise ConfigError(f"pre-selection must sit at time 0, got {pre_select.time}")
-    tf = observed.time
-    if not 0 < t1 < tf:
-        raise ConfigError(f"need 0 < t1 < observed.time, got t1={t1}, tf={tf}")
-    s0 = model.index_of(pre_select.state)
-    j = model.index_of(observed.state)
-    return _pinned(model, SelectionSpec(0, s0), SelectionSpec(tf, j), t1)
-
-
-def postselected_prediction(
-    model: MarkovModel, post_select: SelectionSpec, observed: SelectionSpec, t_minus_1: int
-) -> Distribution:
-    """Mirror of `smoothed_inference`: pin the state at time 0, observe one earlier.
-
-    The two-point rule with the pins swapped: the observation at ``tp < 0``
-    pins the early end, so the interior distribution at ``t_minus_1`` in
-    (tp, 0) weighs kernel^(0 - t_minus_1)[s0, i] against kernel^(t_minus_1 - tp)[i, j].
-    """
-    if post_select.time != 0:
-        raise ConfigError(f"post-selection must sit at time 0, got {post_select.time}")
-    tp = observed.time
-    if not tp < t_minus_1 < 0:
-        raise ConfigError(f"need observed.time < t_minus_1 < 0, got t={t_minus_1}, tp={tp}")
-    s0 = model.index_of(post_select.state)
-    j = model.index_of(observed.state)
-    return _pinned(model, SelectionSpec(tp, j), SelectionSpec(0, s0), t_minus_1)
 
 
 # ======================================================================

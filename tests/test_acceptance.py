@@ -21,13 +21,12 @@ initial state and the anchor fix them to.
 
 import itertools
 import math
-import multiprocessing
 import os
 import time
 
 import numpy as np
 
-from collapsim.cli import _lattice_batch_worker
+from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_config, _qmupl_reversal
 from collapsim.lattice import (
     LatticeConfig,
     QuantumState,
@@ -58,9 +57,8 @@ from collapsim.retrodiction import (
     SelectionSpec,
     equilibrium_retrodiction,
     momentum_walk_demo,
-    postselected_prediction,
+    pinned_inference,
     retrodict,
-    smoothed_inference,
     stationary,
 )
 from collapsim.stats import PrngStream, ks_test
@@ -69,7 +67,6 @@ from artifact_digests import SMALL_RUNS, digest_lines
 
 BASE_SEED = 20260822
 FULL_SCALE = os.environ.get("COLLAPSIM_ACCEPTANCE_FULL") == "1"
-WORKERS = min(os.cpu_count() or 1, 8)
 
 
 def report(capsys, number, passed, detail):
@@ -77,13 +74,6 @@ def report(capsys, number, passed, detail):
     with capsys.disabled():
         print(f"[criterion {number:2d}] {status} - {detail}", flush=True)
     assert passed, f"criterion {number}: {detail}"
-
-
-def fan(worker, tasks, chunksize):
-    if WORKERS <= 1:
-        return [worker(task) for task in tasks]
-    with multiprocessing.Pool(WORKERS) as pool:
-        return pool.map(worker, tasks, chunksize=chunksize)
 
 
 def uniform_cdf(x):
@@ -216,6 +206,9 @@ def test_criterion_04_lattice_pvalues_uniform(capsys):
     else:
         lattice_n, steps, label = 10, 60, "desk scale"
     params = {
+        "seed": BASE_SEED,
+        "runs": 500,
+        "workers": 8,  # _fan_out caps the pool at the CPU count
         "lattice_n": lattice_n,
         "collapse_x": 0.5,
         "theta": math.pi / 4,
@@ -223,8 +216,7 @@ def test_criterion_04_lattice_pvalues_uniform(capsys):
         "initial": "particle",
         "particle_column": 11 if lattice_n == 16 else lattice_n // 2 + 1,
     }
-    tasks = [(i, BASE_SEED, params) for i in range(500)]
-    results = fan(_lattice_batch_worker, tasks, chunksize=8)
+    results = _fan_out(_lattice_batch_worker, params)
     p_values = np.array([r[3] for r in results if r[3] is not None])
     ks = ks_test(p_values, uniform_cdf)
     low_fraction = float((p_values < 0.05).mean())
@@ -289,19 +281,26 @@ PINNED_TOLERANCE = 1e-9
 
 def wavepacket_run(task):
     """One run of the qmupl-batch stream: (projected KS p-value, pinned gap)."""
-    index, seed, config = task
-    trajectory = simulate_forward(config, PrngStream(seed).split(index))
+    index, seed, params = task
+    config = _qmupl_config(params)
+    trajectory, back = _qmupl_reversal(config, PrngStream(seed).split(index))
     x_n, p_n = trajectory.x[-1], trajectory.p[-1]
-    back = reverse_trajectory(trajectory.z, x_n, p_n, config)
     result = projected_normality_test(back.dB, x_n, p_n, config)
     return result.free.p_value, result.pinned_gap
 
 
 def test_criterion_06_wavepacket_pvalues_uniform(capsys):
     started = time.perf_counter()
-    config = QmuplConfig(g=20.0, m=1.0, dt=0.001, n=1000)
-    tasks = [(i, BASE_SEED, config) for i in range(5000)]
-    results = fan(wavepacket_run, tasks, chunksize=32)
+    params = {
+        "seed": BASE_SEED,
+        "runs": 5000,
+        "workers": 8,
+        "g": 20.0,
+        "mass": 1.0,
+        "dt": 0.001,
+        "n_steps": 1000,
+    }
+    results = _fan_out(wavepacket_run, params)
     p_values = np.array([p_value for p_value, _ in results])
     worst_gap = max(gap for _, gap in results)
     uniformity = pvalue_uniformity(p_values)
@@ -439,14 +438,14 @@ def test_criterion_10_enumeration_oracle(capsys):
                         mass = weights.sum()
                         if mass <= 0.0:
                             continue
-                        smooth = smoothed_inference(
+                        smooth = pinned_inference(
                             model, SelectionSpec(0, s0), SelectionSpec(tf, j), t1
                         ).probabilities
                         worst_smooth = max(
                             worst_smooth, np.abs(smooth - weights / mass).max()
                         )
-                        post = postselected_prediction(
-                            model, SelectionSpec(0, j), SelectionSpec(-tf, s0), t1 - tf
+                        post = pinned_inference(
+                            model, SelectionSpec(-tf, s0), SelectionSpec(0, j), t1 - tf
                         ).probabilities
                         # Same path set read with the selection at the late
                         # end: condition on ending at j, observe s0 earlier.

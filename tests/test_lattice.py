@@ -343,6 +343,76 @@ def test_conjugate_is_involution():
 
 
 # ----------------------------------------------------------------------
+# Exact time symmetry of the history measure
+# ----------------------------------------------------------------------
+# The vertex matrix is symmetric and the jumps are real and diagonal, so the
+# reversed event list composes the transpose of the forward product K_alpha.
+# With a maximally mixed one-particle sector at the boundary, P(alpha) is the
+# sector trace of K_alpha^dagger K_alpha over its dimension either way (the
+# trace is cyclic and blind to transposition): forward and backward assign
+# every field history the same probability.  Only a pure boundary state can
+# tell the two directions apart.
+
+
+def _events(config):
+    """The pass's events in forward order: per step and vertex, the vertex,
+    then its left and right links, as (step, column, is_link)."""
+    events = []
+    for t in range(config.steps):
+        for k in range(1, config.n_vertices + 1):
+            left, right = vertex_columns(t, k, config.n_vertices)
+            events += ((t, left, False), (t, left, True), (t, right, True))
+    return events
+
+
+def _history_probabilities(config, starts, events):
+    """P(alpha) for every field history, averaged over the start states.
+
+    Walks ``events`` in the given order through the public ops with
+    unnormalized jumps; histories are enumerated in one fixed order of the
+    (step, column) field, so both directions index them alike.
+    """
+    probabilities = []
+    for bits in itertools.product((0, 1), repeat=config.steps * config.n_columns):
+        alpha = np.array(bits).reshape(config.steps, config.n_columns)
+        total = 0.0
+        for state in starts:
+            for t, column, is_link in events:
+                if is_link:
+                    state = apply_jump(state, column, int(alpha[t, column - 1]), config.collapse_x)
+                else:
+                    state = apply_vertex(state, column, config.theta)
+            total += state.norm_squared
+        probabilities.append(total / len(starts))
+    return np.array(probabilities)
+
+
+@pytest.mark.parametrize("theta, x", [(math.pi / 4, 0.5), (0.3, 0.2)])
+@pytest.mark.parametrize("n_columns, steps", [(4, 1), (4, 2), (6, 1)])
+def test_sector_mixed_boundaries_make_histories_time_symmetric(n_columns, steps, theta, x):
+    config = LatticeConfig(n_columns=n_columns, collapse_x=x, theta=theta, steps=steps)
+    sector = [single_particle_state(n_columns, column) for column in range(1, n_columns + 1)]
+    events = _events(config)
+    forward = _history_probabilities(config, sector, events)
+    backward = _history_probabilities(config, sector, events[::-1])
+    assert np.abs(forward - backward).max() < 1e-14
+    assert abs(forward.sum() - 1.0) < 1e-13
+    assert abs(backward.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("theta, x", [(math.pi / 4, 0.5), (0.3, 0.2)])
+def test_pure_start_breaks_history_time_symmetry(theta, x):
+    # The same histories from the particle at column 2 alone: the directions
+    # disagree by 0.086 at (pi/4, 0.5) and 0.67 at (0.3, 0.2).
+    config = LatticeConfig(n_columns=4, collapse_x=x, theta=theta, steps=2)
+    start = [single_particle_state(4, 2)]
+    events = _events(config)
+    forward = _history_probabilities(config, start, events)
+    backward = _history_probabilities(config, start, events[::-1])
+    assert np.abs(forward - backward).max() > 0.05
+
+
+# ----------------------------------------------------------------------
 # Fast kernels against the slow path they replaced
 # ----------------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from collapsim.lattice_analysis import pvalue_uniformity
 from collapsim.qmupl import (
     MAX_STEPS,
     QmuplConfig,
+    WavePacketTrajectory,
     _boundary_response,
     _free_coordinates,
     ensemble_energy_curve,
@@ -116,6 +117,20 @@ def test_reversal_recursion_is_exact():
         assert back.dB[i - 1] == dB
         assert back.x[i - 1] == back.x[i] + (back.p[i] / CONFIG.m) * CONFIG.dt + dB / root_m
         assert back.p[i - 1] == back.p[i] + 0.5 * CONFIG.g * dB
+
+
+def test_back_solve_carries_the_record_it_consumed():
+    # Both directions return one trajectory type.  The back-solve's z is the
+    # record it was solved against, and it relates to the back-solved march
+    # as a forward record does, read in reversed time: z_i = x'_{i+1} + dB'_i / (g dt).
+    trajectory = simulate_forward(CONFIG, PrngStream(22))
+    record = trajectory.z.tolist()
+    back = reverse_trajectory(record, trajectory.x[-1], trajectory.p[-1], CONFIG)
+    assert isinstance(back, WavePacketTrajectory)
+    assert back.z.tolist() == record
+    assert back.z.shape == back.dB.shape == (CONFIG.n,)
+    g_dt = CONFIG.g * CONFIG.dt
+    assert np.allclose(back.x[1:] + back.dB / g_dt, back.z, rtol=0.0, atol=1e-12)
 
 
 def test_noise_free_reversal_is_exact_fixed_point():

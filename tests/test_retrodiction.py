@@ -25,11 +25,10 @@ from collapsim.retrodiction import (
     evolve,
     load_kernel,
     momentum_walk_demo,
-    postselected_prediction,
+    pinned_inference,
     retrodict,
     save_distribution,
     save_kernel,
-    smoothed_inference,
     stationary,
 )
 from collapsim.stats import PrngStream
@@ -270,8 +269,12 @@ def test_retrodict_at_stationary_prior_reproduces_reverse_kernel():
 
 
 # ----------------------------------------------------------------------
-# Two-point conditioning: smoothing and its mirror
+# Two-point conditioning: one rule, pins in either order
 # ----------------------------------------------------------------------
+# Smoothing prepares a state at time 0 and observes a later one;
+# post-selection selects a state at time 0 and observes an earlier one.  Both
+# call `pinned_inference`, with the pin at time 0 as the early or the late
+# end.
 
 
 def enumerate_smoothed(model, s0, j, t1, tf):
@@ -288,9 +291,7 @@ def enumerate_smoothed(model, s0, j, t1, tf):
 
 
 def test_smoothed_identity_kernel_pins_everything():
-    out = smoothed_inference(
-        IDENTITY3, SelectionSpec(0, "x"), SelectionSpec(4, "x"), 2
-    )
+    out = pinned_inference(IDENTITY3, SelectionSpec(0, "x"), SelectionSpec(4, "x"), 2)
     assert np.array_equal(out.probabilities, [1.0, 0.0, 0.0])
 
 
@@ -300,43 +301,48 @@ def test_smoothed_near_identity_concentrates_on_the_boundary():
     eps = 1e-6
     kernel = (1.0 - eps) * np.eye(3) + eps / 3.0
     model = MarkovModel(("x", "y", "z"), kernel / kernel.sum(axis=0))
-    out = smoothed_inference(model, SelectionSpec(0, "y"), SelectionSpec(3, "y"), 1)
+    out = pinned_inference(model, SelectionSpec(0, "y"), SelectionSpec(3, "y"), 1)
     assert out.probabilities[1] > 1.0 - 1e-5
 
 
 def test_smoothed_matches_path_enumeration_exhaustively():
     rng = np.random.default_rng(46)
     # Every chain size up to 4, every horizon up to 4, every interior time,
-    # every boundary pair with nonzero joint probability.
+    # every boundary pair with nonzero joint probability, and the pin at time
+    # 0 as the early end (smoothing) or the late end (post-selection).
     for n in (2, 3, 4):
         model = random_chain(n, rng)
         for tf in (2, 3, 4):
-            for t1 in range(1, tf):
-                for s0 in range(n):
-                    for j in range(n):
-                        expected = enumerate_smoothed(model, s0, j, t1, tf)
-                        out = smoothed_inference(
-                            model, SelectionSpec(0, s0), SelectionSpec(tf, j), t1
-                        )
-                        assert np.abs(out.probabilities - expected).max() < 1e-12
+            for shift in (0, -tf):
+                for t1 in range(1, tf):
+                    for s0 in range(n):
+                        for j in range(n):
+                            expected = enumerate_smoothed(model, s0, j, t1, tf)
+                            out = pinned_inference(
+                                model,
+                                SelectionSpec(shift, s0),
+                                SelectionSpec(shift + tf, j),
+                                shift + t1,
+                            )
+                            assert np.abs(out.probabilities - expected).max() < 1e-12
 
 
 def test_smoothed_guards():
-    with pytest.raises(ConfigError):
-        smoothed_inference(SYMMETRIC, SelectionSpec(1, "S1"), SelectionSpec(3, "S1"), 2)
-    with pytest.raises(ConfigError):
-        smoothed_inference(SYMMETRIC, SelectionSpec(0, "S1"), SelectionSpec(3, "S1"), 3)
+    # The reading time must lie strictly between the pins.
+    for t in (0, 3, 5, -1):
+        with pytest.raises(ConfigError):
+            pinned_inference(SYMMETRIC, SelectionSpec(0, "S1"), SelectionSpec(3, "S1"), t)
+    with pytest.raises(DimensionError):
+        pinned_inference(SYMMETRIC, SelectionSpec(0, "S3"), SelectionSpec(3, "S1"), 1)
     # Disconnected blocks: pinning the two ends in different blocks is
     # impossible, so the conditioning mass is zero.
     blocks = MarkovModel(("a", "b"), np.eye(2))
     with pytest.raises(ConditioningError):
-        smoothed_inference(blocks, SelectionSpec(0, "a"), SelectionSpec(2, "b"), 1)
+        pinned_inference(blocks, SelectionSpec(0, "a"), SelectionSpec(2, "b"), 1)
 
 
 def test_postselected_identity_kernel_pins_everything():
-    out = postselected_prediction(
-        IDENTITY3, SelectionSpec(0, "z"), SelectionSpec(-4, "z"), -2
-    )
+    out = pinned_inference(IDENTITY3, SelectionSpec(-4, "z"), SelectionSpec(0, "z"), -2)
     assert np.array_equal(out.probabilities, [0.0, 0.0, 1.0])
 
 
@@ -344,69 +350,65 @@ def test_postselected_near_boundary_concentrates():
     eps = 1e-6
     kernel = (1.0 - eps) * np.eye(3) + eps / 3.0
     model = MarkovModel(("x", "y", "z"), kernel / kernel.sum(axis=0))
-    out = postselected_prediction(
-        model, SelectionSpec(0, "z"), SelectionSpec(-3, "z"), -1
-    )
+    out = pinned_inference(model, SelectionSpec(-3, "z"), SelectionSpec(0, "z"), -1)
     assert out.probabilities[2] > 1.0 - 1e-5
 
 
-def test_postselected_is_the_mirror_of_smoothing():
+def test_pinned_inference_is_time_translation_invariant():
     rng = np.random.default_rng(47)
-    # Conditioning on (observed at -T, selected at 0) and reading time -m is
-    # the same inference as conditioning on (selected-at-0 -> endpoint at T)
-    # with the observation as the early pin and reading time T - m.
+    # Only the distances between the pins and the reading time enter, so
+    # shifting all three leaves the result bit for bit unchanged; the shift
+    # by -total moves the pin at time 0 from the early end to the late end.
     for _ in range(3):
         model = random_chain(3, rng)
         for total in (2, 3, 4):
             for m in range(1, total):
                 for s0 in range(3):
                     for j in range(3):
-                        mirrored = smoothed_inference(
-                            model,
-                            SelectionSpec(0, j),
-                            SelectionSpec(total, s0),
-                            total - m,
+                        reference = pinned_inference(
+                            model, SelectionSpec(0, j), SelectionSpec(total, s0), m
                         )
-                        out = postselected_prediction(
-                            model,
-                            SelectionSpec(0, s0),
-                            SelectionSpec(-total, j),
-                            -m,
-                        )
-                        assert np.abs(
-                            out.probabilities - mirrored.probabilities
-                        ).max() < 1e-12
+                        for shift in (-total, -7, 5):
+                            out = pinned_inference(
+                                model,
+                                SelectionSpec(shift, j),
+                                SelectionSpec(shift + total, s0),
+                                shift + m,
+                            )
+                            assert np.array_equal(
+                                out.probabilities, reference.probabilities
+                            )
 
 
 def test_postselected_guards():
-    with pytest.raises(ConfigError):
-        postselected_prediction(
-            SYMMETRIC, SelectionSpec(-1, "S1"), SelectionSpec(-3, "S1"), -2
-        )
-    with pytest.raises(ConfigError):
-        postselected_prediction(
-            SYMMETRIC, SelectionSpec(0, "S1"), SelectionSpec(-3, "S1"), 0
-        )
+    # Pins out of order: the late pin at or before the early one.
+    for early, late in ((0, 0), (0, -3), (-1, -3)):
+        with pytest.raises(ConfigError):
+            pinned_inference(
+                SYMMETRIC, SelectionSpec(early, "S1"), SelectionSpec(late, "S1"), -2
+            )
+    # The reading time must lie strictly between the pins.
+    for t in (-3, 0, 1):
+        with pytest.raises(ConfigError):
+            pinned_inference(SYMMETRIC, SelectionSpec(-3, "S1"), SelectionSpec(0, "S1"), t)
 
 
 def test_uninformative_far_boundary_reduces_to_one_sided_rules():
     rng = np.random.default_rng(48)
     # With a long mixing stretch between the reading time and the far pin,
     # the far boundary carries no information: smoothing falls back to the
-    # forward-evolved filter, and the post-selected mirror falls back to the
+    # forward-evolved filter, and post-selection falls back to the
     # stationary-weighted backward rule.
     model = random_chain(3, rng)
     pi = stationary(model).probabilities
     far = 300
     s0, j, t1 = 0, 2, 2
-    out = smoothed_inference(model, SelectionSpec(0, s0), SelectionSpec(far, j), t1)
+    out = pinned_inference(model, SelectionSpec(0, s0), SelectionSpec(far, j), t1)
     forward = np.linalg.matrix_power(model.kernel, t1)[:, s0]
     assert np.abs(out.probabilities - forward / forward.sum()).max() < 1e-8
 
     m = 2
-    out_post = postselected_prediction(
-        model, SelectionSpec(0, s0), SelectionSpec(-far, j), -m
-    )
+    out_post = pinned_inference(model, SelectionSpec(-far, j), SelectionSpec(0, s0), -m)
     weights = np.linalg.matrix_power(model.kernel, m)[s0, :] * pi
     assert np.abs(out_post.probabilities - weights / weights.sum()).max() < 1e-8
 
