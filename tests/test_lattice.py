@@ -7,7 +7,11 @@ import pytest
 from collapsim.errors import ConfigError, DimensionError, InvalidStateError
 from collapsim.lattice import (
     MAX_COLUMNS,
+    _kernels,
+    _pass,
     _renormalize,
+    _SectorKernels,
+    _ViewKernels,
     LatticeConfig,
     QuantumState,
     StochasticField,
@@ -534,3 +538,107 @@ def test_pass_matches_division_loop(n_columns, start, x):
     assert probabilities.tobytes() == back.probabilities.tobytes()
     assert occupancy.tobytes() == back.occupancy.tobytes()
     assert np.array_equal(amps, recovered.amplitudes)
+
+
+# ----------------------------------------------------------------------
+# Sector kernels against the view kernels
+# ----------------------------------------------------------------------
+
+
+def _kernel_run(config, amplitudes, make_kernels, field=None, backward=False, seed=0):
+    """A pass through the given kernels on a copy of ``amplitudes``.
+
+    Without ``field`` the pass draws the field from ``PrngStream(seed)`` as
+    ``run_forward`` does; with one it replays that fixed field.  Returns the
+    field, probabilities, occupancy and final amplitudes.
+    """
+    amps = amplitudes.copy()
+    kernels = make_kernels(config, amps)
+    if field is None:
+        rng = PrngStream(seed)
+        field = np.empty((config.steps, config.n_columns), dtype=np.uint8)
+
+        def alpha_at(t, slot, p_one):
+            field[t, slot] = alpha = 1 if rng.uniform() < p_one else 0
+            return alpha
+    else:
+        def alpha_at(t, slot, p_one):
+            return int(field[t, slot])
+
+    probabilities, occupancy = _pass(config, kernels, alpha_at, backward)
+    return field, probabilities, occupancy, amps
+
+
+def _sector_kernels(sectors):
+    return lambda config, amps: _SectorKernels(config, amps, sectors)
+
+
+def _sector_state(n_columns, sectors, np_rng):
+    """Normalized Gaussian-random amplitudes on the given particle-number sectors."""
+    support = [i for i in range(1 << n_columns) if bin(i).count("1") in sectors]
+    amps = np.zeros(1 << n_columns, dtype=np.complex128)
+    amps[support] = np_rng.normal(size=len(support)) + 1j * np_rng.normal(size=len(support))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize(
+    "theta, x", [(math.pi / 4, 0.5), (0.3, 0.0), (1.1, 1.0), (0.0, 0.2), (math.pi / 2, 0.7)]
+)
+@pytest.mark.parametrize("start", ["vacuum", "particle"])
+@pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
+def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, x):
+    # Each occupancy of a vacuum or one-particle state sums one nonzero term,
+    # so the compact pass must reproduce every bit of the dense one: field,
+    # probabilities, occupancies and final amplitudes, forward and backward
+    # from the conjugated final state.
+    config = LatticeConfig(n_columns, x, theta, steps=6)
+    if start == "vacuum":
+        initial, sectors = build_basis_state([0] * n_columns), (0,)
+    else:
+        initial, sectors = single_particle_state(n_columns, n_columns // 2 + 1), (1,)
+    runs = []
+    for make_kernels in (_ViewKernels, _sector_kernels(sectors)):
+        forward = _kernel_run(config, initial.amplitudes, make_kernels, seed=n_columns)
+        backward = _kernel_run(
+            config, np.conj(forward[3]), make_kernels, field=forward[0], backward=True
+        )
+        runs.append([array.tobytes() for array in forward + backward])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "n_columns, sectors", [(8, (2,)), (12, (2,)), (16, (2,)), (10, (1, 3)), (16, (1, 3))]
+)
+def test_sector_kernels_match_view_kernels_on_random_sector_states(n_columns, sectors):
+    # With two or more particles an occupancy sums several terms, in another
+    # order than the dense einsum, so the two passes agree to rounding.  Both
+    # replay the field the view pass drew, forward and then backward.
+    config = LatticeConfig(n_columns, 0.4, 0.7, steps=4)
+    initial = _sector_state(n_columns, sectors, np.random.default_rng([5, n_columns]))
+    assert isinstance(_kernels(config, initial.copy()), _SectorKernels)
+    field = _kernel_run(config, initial, _ViewKernels, seed=3)[0]
+    start = initial
+    for backward in (False, True):
+        view = _kernel_run(config, start, _ViewKernels, field, backward)
+        sector = _kernel_run(config, start, _sector_kernels(sectors), field, backward)
+        for a, b in zip(view[1:], sector[1:]):
+            assert np.abs(a - b).max() < 1e-12
+        start = np.conj(view[3])
+
+
+def test_dispatch_takes_sector_kernels_only_for_small_sectors():
+    config = LatticeConfig(8, 0.5, 0.7, steps=1)
+    np_rng = np.random.default_rng(23)
+    sparse = [
+        build_basis_state([0] * 8).amplitudes,
+        single_particle_state(8, 3).amplitudes,
+        _sector_state(8, (2,), np_rng),
+    ]
+    for amps in sparse:
+        assert isinstance(_kernels(config, amps.copy()), _SectorKernels)
+    # Weight in every sector; and a few amplitudes whose sectors 3, 4 and 5
+    # hold 182 of the 256 basis states.
+    wide = np.zeros(256, dtype=np.complex128)
+    wide[[0b111, 0b1111, 0b11111]] = 1 / math.sqrt(3)
+    for amps in (random_state(8, np_rng).amplitudes, wide):
+        assert isinstance(_kernels(config, amps.copy()), _ViewKernels)
