@@ -43,21 +43,20 @@ conditioned on everything later in coordinate time.
 
 The vertex fixes ``00`` and ``11`` and the jumps are diagonal, so particle
 number is conserved and every popcount sector of the basis is invariant.  A
-pass whose state occupies sectors holding at most a quarter of the basis,
-such as the vacuum and one-particle starts of the command line, runs on a
-compact vector of those sectors' amplitudes; at width 16 a one-particle
-run's vertices, jumps and occupancies touch 16 amplitudes, not 65,536.  The
-renormalizing norm stays ``np.vdot`` over the dense vector, into which the
-compact amplitudes are scattered first: the sum over the support alone adds
-in another order than the BLAS sum and moves the last bit of about three
-norms in ten.  States with weight in more sectors, like a Gaussian-random
-vector, run on reshaped views of the dense vector.
+pass from a vacuum or one-particle state, the starts of the command line or
+a superposition of them, runs on the ``n_columns + 1`` amplitudes of those
+two sectors: a vertex mixes two of them and an occupancy reads one, so at
+width 16 a one-particle run's vertices and occupancies touch one or two
+amplitudes, not 65,536.  The renormalizing norm stays ``np.vdot`` over the
+dense vector, into which the compact amplitudes are scattered first: the sum
+over the support alone adds in another order than the BLAS sum and moves
+the last bit of about three norms in ten.  States with two or more
+particles, like a Gaussian-random vector, run on reshaped views of the
+dense vector.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
@@ -363,8 +362,8 @@ def _check_run_inputs(config: LatticeConfig, state: QuantumState, role: str) -> 
 class _ViewKernels:
     """The pass's kernels on reshaped views of the dense vector.
 
-    They serve states whose occupied sectors fill more than a quarter of the
-    basis; each kernel's views and constants are built once per pass.
+    They serve every state with weight outside the vacuum and one-particle
+    sectors; each kernel's views and constants are built once per pass.
     """
 
     def __init__(self, config: LatticeConfig, amps: np.ndarray):
@@ -391,68 +390,45 @@ class _ViewKernels:
         pass
 
 
-@functools.lru_cache(maxsize=8)
-def _sector_tables(n_columns: int, sectors: tuple[int, ...]):
-    """Index tables of the basis states whose particle number lies in ``sectors``.
+class _ParticleKernels:
+    """The pass's kernels on the ``n + 1`` amplitudes of the vacuum and one-particle states.
 
-    Returns the sorted support; each column's occupancy mask over it, as
-    booleans and as 0/1 weights for the interleaved real and imaginary parts;
-    and for each vertex's left column the support positions of its
-    ``(hi-set, lo-set)`` pairs: the states with only the higher or only the
-    lower of its two column bits set, matched by their other bits.
-    """
-    support = np.array(sorted(
-        sum(1 << p for p in occupied)
-        for k in sectors
-        for occupied in itertools.combinations(range(n_columns), k)
-    ), dtype=np.int64)
-    masks = [((support >> p) & 1).astype(bool) for p in range(n_columns)]
-    pairs = []
-    for column in range(1, n_columns + 1):
-        pa, pb = column - 1, column % n_columns
-        hi, lo = max(pa, pb), min(pa, pb)
-        upper = support[masks[hi] & ~masks[lo]]
-        lower = upper ^ ((1 << hi) | (1 << lo))
-        pairs.append((np.searchsorted(support, upper), np.searchsorted(support, lower)))
-    weights = [np.repeat(mask, 2).astype(np.float64) for mask in masks]
-    for table in (support, *masks, *weights, *itertools.chain(*pairs)):
-        table.flags.writeable = False  # shared by every pass through the cache
-    return support, masks, weights, pairs
-
-
-class _SectorKernels:
-    """The pass's kernels on a compact vector of the occupied sectors' amplitudes.
-
-    Each elementwise operation is the one the view kernels perform, and the
-    norm is their dense ``np.vdot`` over the scattered amplitudes.  Where
-    every occupancy sums a single nonzero term, in the vacuum and
-    one-particle sectors, the two agree bit for bit; with more particles
-    the occupancy sums add in another order and agree to rounding.
+    Entry ``k`` of the compact vector is basis state ``1 << k``, the particle
+    on column ``k + 1``, and the last entry is the vacuum.  A vertex mixes
+    the two entries of its columns, with the IEEE operations of
+    :func:`_vertex_inplace`, and an occupancy is the squared modulus of the
+    column's one entry, the only nonzero term of the view kernels' sums.  A
+    jump scales the compact vector as the view kernels scale the dense one,
+    and the norm is their dense ``np.vdot`` over the scattered amplitudes.
+    The two agree bit for bit.
     """
 
-    def __init__(self, config: LatticeConfig, amps: np.ndarray, sectors: tuple[int, ...]):
+    def __init__(self, config: LatticeConfig, amps: np.ndarray):
+        n = config.n_columns
         self.amps = amps
-        self.support, masks, self.weights, self.pairs = _sector_tables(config.n_columns, sectors)
+        self.support = np.append(1 << np.arange(n), 0)
         self.compact = amps[self.support]
         # Off the support the state is zero.  Clearing it there to +0 drops
         # the sign a conjugated start gives those zeros, as the first jump
         # of the view kernels does.
         amps.fill(0)
-        self.vertex = _vertex_constants(config.theta)
+        self.diag, self.off = _vertex_constants(config.theta)
         scale, x_scale = _jump_constants(config.collapse_x)
         # Complex factors, so the multiply needs no cast: (alpha = 0, alpha = 1).
         self.factors = [
             (np.where(mask, x_scale, scale) + 0j, np.where(mask, scale, x_scale) + 0j)
-            for mask in masks
+            for mask in np.eye(n + 1, dtype=bool)[:n]
         ]
+        # The entries a vertex mixes: its columns' bits, higher first, as in
+        # _vertex_blocks.
+        self.pairs = [(max(p, (p + 1) % n), min(p, (p + 1) % n)) for p in range(n)]
 
     def apply_vertex(self, slot: int) -> None:
         upper, lower = self.pairs[slot]
-        compact = self.compact
-        s01, s10 = compact[upper], compact[lower]
-        _vertex_inplace(s01, s10, *self.vertex)
-        compact[upper] = s01
-        compact[lower] = s10
+        compact, diag, off = self.compact, self.diag, self.off
+        a, b = compact.item(upper), compact.item(lower)
+        compact[upper] = diag * a + off * b
+        compact[lower] = off * a + diag * b
 
     def collapse(self, slot: int, alpha: int) -> None:
         """Apply jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
@@ -461,33 +437,25 @@ class _SectorKernels:
         self.compact *= _reciprocal_norm(self.amps)
 
     def occupancy(self, slot: int) -> float:
-        parts = self.compact.view(np.float64)
-        return float((parts * parts) @ self.weights[slot])
+        z = self.compact.item(slot)
+        return z.real * z.real + z.imag * z.imag
 
     def finish(self) -> None:
         self.amps[self.support] = self.compact
 
 
-def _occupied_sectors(amps: np.ndarray, n_columns: int) -> tuple[int, ...] | None:
-    """The particle numbers ``amps`` occupies, or None when they span over a quarter of the basis.
-
-    The first test needs no index arrays, so a state with weight everywhere
-    is turned away at the cost of one count.
-    """
-    if np.count_nonzero(amps) * 4 > amps.size:
-        return None
-    sectors = tuple(sorted({index.bit_count() for index in np.flatnonzero(amps).tolist()}))
-    if sum(math.comb(n_columns, k) for k in sectors) * 4 > amps.size:
-        return None
-    return sectors
-
-
 def _kernels(config: LatticeConfig, amps: np.ndarray):
-    """Sector kernels where the occupied sectors are small, view kernels otherwise."""
-    sectors = _occupied_sectors(amps, config.n_columns)
-    if sectors is None:
-        return _ViewKernels(config, amps)
-    return _SectorKernels(config, amps, sectors)
+    """Particle kernels for a vacuum or one-particle state, view kernels otherwise.
+
+    The particle kernels take a state whose nonzero amplitudes all sit at
+    index 0 or at a power of two.  The count comes first and needs no index
+    arrays, so a state with weight everywhere is turned away at its cost.
+    """
+    if np.count_nonzero(amps) <= config.n_columns + 1:
+        nonzero = np.flatnonzero(amps)
+        if not (nonzero & (nonzero - 1)).any():
+            return _ParticleKernels(config, amps)
+    return _ViewKernels(config, amps)
 
 
 def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False):

@@ -9,8 +9,8 @@ from collapsim.lattice import (
     MAX_COLUMNS,
     _kernels,
     _pass,
+    _ParticleKernels,
     _renormalize,
-    _SectorKernels,
     _ViewKernels,
     LatticeConfig,
     QuantumState,
@@ -416,6 +416,65 @@ def test_pure_start_breaks_history_time_symmetry(theta, x):
     assert np.abs(forward - backward).max() > 0.05
 
 
+def _link_bias(config, start):
+    """E_fwd[alpha - p_back] at every link, summed exactly over all histories.
+
+    Each history is weighted by its forward probability from ``start``.  Its
+    backward probabilities come from the conjugated, normalized final state,
+    walked through the reversed events with the history's field fixed, as
+    ``run_backward`` does, but through the public ops.
+    """
+    events = _events(config)
+    bias = np.zeros((config.steps, config.n_columns))
+    for bits in itertools.product((0, 1), repeat=config.steps * config.n_columns):
+        alpha = np.array(bits).reshape(config.steps, config.n_columns)
+        state = start
+        for t, column, is_link in events:
+            if is_link:
+                state = apply_jump(state, column, int(alpha[t, column - 1]), config.collapse_x)
+            else:
+                state = apply_vertex(state, column, config.theta)
+        weight = state.norm_squared
+        state = conjugate(normalize(state))
+        p_back = np.empty_like(bias)
+        for t, column, is_link in reversed(events):
+            if is_link:
+                p_back[t, column - 1] = link_collapse_probability(state, column, config.collapse_x)
+                state = normalize(apply_jump(state, column, int(alpha[t, column - 1]), config.collapse_x))
+            else:
+                state = apply_vertex(state, column, config.theta)
+        bias += weight * (alpha - p_back)
+    return bias
+
+
+@pytest.mark.parametrize("theta, x, biased", [(math.pi / 4, 0.5, False), (0.3, 0.2, True)])
+def test_pure_start_link_bias_after_one_step(theta, x, biased):
+    # From the particle at column 2, one step leaves no link biased at
+    # (pi/4, 0.5) (measured 5.2e-17), but column 1's link by 0.019 at
+    # (0.3, 0.2).
+    config = LatticeConfig(n_columns=4, collapse_x=x, theta=theta, steps=1)
+    largest = np.abs(_link_bias(config, single_particle_state(4, 2))).max()
+    if biased:
+        assert largest > 0.01
+    else:
+        assert largest < 1e-12
+
+
+@pytest.mark.parametrize("theta, x", [(math.pi / 4, 0.5), (0.3, 0.2)])
+def test_pure_start_link_bias_map_over_three_steps(theta, x):
+    # At (pi/4, 0.5) the bias sits at step 0 (0.124); steps 1 and 2 reach
+    # 0.0038 and 0.0156.  At (0.3, 0.2) step 1 carries 0.108 as well, so
+    # the shape depends on the parameters.
+    config = LatticeConfig(n_columns=4, collapse_x=x, theta=theta, steps=3)
+    per_step = np.abs(_link_bias(config, single_particle_state(4, 2))).max(axis=1)
+    assert per_step.argmax() == 0
+    assert per_step[0] > 0.1
+    if theta == math.pi / 4:
+        assert per_step[1:].max() <= 0.016
+    else:
+        assert per_step[1] > 0.1
+
+
 # ----------------------------------------------------------------------
 # Fast kernels against the slow path they replaced
 # ----------------------------------------------------------------------
@@ -541,7 +600,7 @@ def test_pass_matches_division_loop(n_columns, start, x):
 
 
 # ----------------------------------------------------------------------
-# Sector kernels against the view kernels
+# Particle kernels against the view kernels
 # ----------------------------------------------------------------------
 
 
@@ -569,36 +628,40 @@ def _kernel_run(config, amplitudes, make_kernels, field=None, backward=False, se
     return field, probabilities, occupancy, amps
 
 
-def _sector_kernels(sectors):
-    return lambda config, amps: _SectorKernels(config, amps, sectors)
-
-
-def _sector_state(n_columns, sectors, np_rng):
-    """Normalized Gaussian-random amplitudes on the given particle-number sectors."""
-    support = [i for i in range(1 << n_columns) if bin(i).count("1") in sectors]
+def _two_particle_state(n_columns, np_rng):
+    """Normalized Gaussian-random amplitudes on the two-particle sector."""
+    support = [i for i in range(1 << n_columns) if bin(i).count("1") == 2]
     amps = np.zeros(1 << n_columns, dtype=np.complex128)
     amps[support] = np_rng.normal(size=len(support)) + 1j * np_rng.normal(size=len(support))
     return amps / np.linalg.norm(amps)
 
 
+def _particle_start(start, n_columns):
+    """A vacuum, one-particle, or vacuum + particle superposition start."""
+    if start == "vacuum":
+        return build_basis_state([0] * n_columns).amplitudes
+    particle = single_particle_state(n_columns, n_columns // 2 + 1).amplitudes
+    if start == "particle":
+        return particle
+    return 0.6 * particle + 0.8j * build_basis_state([0] * n_columns).amplitudes
+
+
 @pytest.mark.parametrize(
     "theta, x", [(math.pi / 4, 0.5), (0.3, 0.0), (1.1, 1.0), (0.0, 0.2), (math.pi / 2, 0.7)]
 )
-@pytest.mark.parametrize("start", ["vacuum", "particle"])
+@pytest.mark.parametrize("start", ["vacuum", "particle", "superposition"])
 @pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
 def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, x):
-    # Each occupancy of a vacuum or one-particle state sums one nonzero term,
-    # so the compact pass must reproduce every bit of the dense one: field,
-    # probabilities, occupancies and final amplitudes, forward and backward
-    # from the conjugated final state.
+    # Each vertex of a vacuum or one-particle state mixes two amplitudes and
+    # each occupancy sums one nonzero term, so the particle kernels must
+    # reproduce every bit of the dense pass: field, probabilities,
+    # occupancies and final amplitudes, forward and backward from the
+    # conjugated final state.
     config = LatticeConfig(n_columns, x, theta, steps=6)
-    if start == "vacuum":
-        initial, sectors = build_basis_state([0] * n_columns), (0,)
-    else:
-        initial, sectors = single_particle_state(n_columns, n_columns // 2 + 1), (1,)
+    initial = _particle_start(start, n_columns)
     runs = []
-    for make_kernels in (_ViewKernels, _sector_kernels(sectors)):
-        forward = _kernel_run(config, initial.amplitudes, make_kernels, seed=n_columns)
+    for make_kernels in (_ViewKernels, _ParticleKernels):
+        forward = _kernel_run(config, initial, make_kernels, seed=n_columns)
         backward = _kernel_run(
             config, np.conj(forward[3]), make_kernels, field=forward[0], backward=True
         )
@@ -606,39 +669,17 @@ def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, 
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize(
-    "n_columns, sectors", [(8, (2,)), (12, (2,)), (16, (2,)), (10, (1, 3)), (16, (1, 3))]
-)
-def test_sector_kernels_match_view_kernels_on_random_sector_states(n_columns, sectors):
-    # With two or more particles an occupancy sums several terms, in another
-    # order than the dense einsum, so the two passes agree to rounding.  Both
-    # replay the field the view pass drew, forward and then backward.
-    config = LatticeConfig(n_columns, 0.4, 0.7, steps=4)
-    initial = _sector_state(n_columns, sectors, np.random.default_rng([5, n_columns]))
-    assert isinstance(_kernels(config, initial.copy()), _SectorKernels)
-    field = _kernel_run(config, initial, _ViewKernels, seed=3)[0]
-    start = initial
-    for backward in (False, True):
-        view = _kernel_run(config, start, _ViewKernels, field, backward)
-        sector = _kernel_run(config, start, _sector_kernels(sectors), field, backward)
-        for a, b in zip(view[1:], sector[1:]):
-            assert np.abs(a - b).max() < 1e-12
-        start = np.conj(view[3])
-
-
 def test_dispatch_takes_sector_kernels_only_for_small_sectors():
+    # The particle kernels take exactly the states with weight in the vacuum
+    # and one-particle sectors alone; every other state takes the views.
     config = LatticeConfig(8, 0.5, 0.7, steps=1)
     np_rng = np.random.default_rng(23)
-    sparse = [
-        build_basis_state([0] * 8).amplitudes,
-        single_particle_state(8, 3).amplitudes,
-        _sector_state(8, (2,), np_rng),
-    ]
-    for amps in sparse:
-        assert isinstance(_kernels(config, amps.copy()), _SectorKernels)
-    # Weight in every sector; and a few amplitudes whose sectors 3, 4 and 5
-    # hold 182 of the 256 basis states.
+    for start in ("vacuum", "particle", "superposition"):
+        amps = _particle_start(start, 8)
+        assert isinstance(_kernels(config, amps.copy()), _ParticleKernels)
+    # Two particles; weight in every sector; and a few amplitudes in
+    # sectors 3, 4 and 5.
     wide = np.zeros(256, dtype=np.complex128)
     wide[[0b111, 0b1111, 0b11111]] = 1 / math.sqrt(3)
-    for amps in (random_state(8, np_rng).amplitudes, wide):
+    for amps in (_two_particle_state(8, np_rng), random_state(8, np_rng).amplitudes, wide):
         assert isinstance(_kernels(config, amps.copy()), _ViewKernels)
