@@ -42,7 +42,6 @@ from .lattice import (
     single_particle_state,
 )
 from .lattice_analysis import (
-    BinSpec,
     ChiSquaredReport,
     UniformityReport,
     pvalue_uniformity,
@@ -71,7 +70,6 @@ from .stats import PrngStream, TestReport, ks_test
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinSpec",
     "ChiSquaredReport",
     "CollapsimError",
     "ConditioningError",

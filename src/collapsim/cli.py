@@ -63,7 +63,7 @@ from .lattice import (
     single_particle_state,
 )
 from .lattice_analysis import pvalue_uniformity, reversal_chi_squared
-from .output import Manifest, write_csv, write_json, write_pgm
+from .output import Manifest, read_text, write_csv, write_json, write_pgm
 from .qmupl import (
     QmuplConfig,
     ensemble_energy_curve,
@@ -456,7 +456,7 @@ _KEYS_BY_NAME = {key.name: key for key in KEYS}
 
 def load_config_file(path: str) -> dict:
     """Parse a key=value file; unknown keys and bad values name file:line."""
-    text = Path(path).read_text()
+    text = read_text(path)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()

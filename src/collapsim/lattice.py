@@ -33,6 +33,9 @@ One time step interleaves two kinds of events, swept left to right:
   divides complex by real as ``a * (1 / r)`` through its complex-division
   loop, which costs about ten times as much for the same values (only the
   sign of an exact zero can differ, and every output is a squared modulus).
+  After a projective jump a lone complex amplitude can renormalize to a
+  squared modulus one rounding above 1, so an occupancy is clamped to at
+  most 1; no value at or below 1 changes.
 
 Forward and reverse-time runs are one pass over the same list of events.
 A reverse-time run walks the forward event order reversed, with the field
@@ -223,11 +226,6 @@ def _column_halves(amps: np.ndarray, n_columns: int, column: int) -> tuple[np.nd
     view = amps.reshape(1 << (n_columns - 1 - p), 2, 1 << p)
     return view[:, 0, :], view[:, 1, :]
 
-def _occupied_parts(amps: np.ndarray, n_columns: int, column: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary views of the amplitudes with ``column`` occupied."""
-    sub = _column_halves(amps, n_columns, column)[1]
-    return sub.real, sub.imag
-
 def _vertex_blocks(amps: np.ndarray, n_columns: int, left_column: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(01, 10)`` block views of the vertex on ``left_column`` and its right neighbour.
 
@@ -258,9 +256,11 @@ def _jump_inplace(halves: tuple[np.ndarray, np.ndarray], alpha: int, scale: floa
     favoured = halves[alpha]
     favoured *= scale
 
-def _occupancy(re: np.ndarray, im: np.ndarray, norm_squared: float) -> float:
-    weight = np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)
-    return float(weight) / norm_squared
+def _occupancy(occupied: np.ndarray, norm_squared: float) -> float:
+    """Weight of the ``occupied`` half over ``norm_squared``, clamped to at most 1."""
+    re, im = occupied.real, occupied.imag
+    weight = float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)) / norm_squared
+    return weight if weight <= 1.0 else 1.0
 
 def _unit_scale(norm_squared: float, message: str) -> float:
     """Reciprocal norm that rescales a state to unit norm; a zero norm raises."""
@@ -270,9 +270,6 @@ def _unit_scale(norm_squared: float, message: str) -> float:
 
 def _reciprocal_norm(amps: np.ndarray) -> float:
     return _unit_scale(float(np.vdot(amps, amps).real), "state collapsed to zero norm")
-
-def _renormalize(amps: np.ndarray) -> None:
-    amps *= _reciprocal_norm(amps)
 
 
 def _link_probability(occ: float, x: float) -> float:
@@ -325,7 +322,7 @@ def occupancy_expectation(state: QuantumState, i: int) -> float:
         raise DimensionError(f"column must lie in 1..{n}, got {i}")
     if not state.norm_squared > 0.0:
         raise InvalidStateError("occupancy undefined for a zero state")
-    return _occupancy(*_occupied_parts(state.amplitudes, n, i), state.norm_squared)
+    return _occupancy(_column_halves(state.amplitudes, n, i)[1], state.norm_squared)
 
 
 def link_collapse_probability(state: QuantumState, i: int, x: float) -> float:
@@ -373,7 +370,6 @@ class _ViewKernels:
         self.jump = _jump_constants(config.collapse_x)
         self.blocks = [_vertex_blocks(amps, n, column) for column in range(1, n + 1)]
         self.halves = [_column_halves(amps, n, column) for column in range(1, n + 1)]
-        self.parts = [_occupied_parts(amps, n, column) for column in range(1, n + 1)]
 
     def apply_vertex(self, slot: int) -> None:
         _vertex_inplace(*self.blocks[slot], *self.vertex)
@@ -381,10 +377,10 @@ class _ViewKernels:
     def collapse(self, slot: int, alpha: int) -> None:
         """Apply jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
         _jump_inplace(self.halves[slot], alpha, *self.jump)
-        _renormalize(self.amps)
+        self.amps *= _reciprocal_norm(self.amps)
 
     def occupancy(self, slot: int) -> float:
-        return _occupancy(*self.parts[slot], 1.0)
+        return _occupancy(self.halves[slot][1], 1.0)
 
     def finish(self) -> None:
         pass
@@ -397,10 +393,10 @@ class _ParticleKernels:
     on column ``k + 1``, and the last entry is the vacuum.  A vertex mixes
     the two entries of its columns, with the IEEE operations of
     :func:`_vertex_inplace`, and an occupancy is the squared modulus of the
-    column's one entry, the only nonzero term of the view kernels' sums.  A
-    jump scales the compact vector as the view kernels scale the dense one,
-    and the norm is their dense ``np.vdot`` over the scattered amplitudes.
-    The two agree bit for bit.
+    column's one entry, the only nonzero term of the view kernels' sums,
+    clamped to 1 as theirs is.  A jump scales the compact vector as the view
+    kernels scale the dense one, and the norm is their dense ``np.vdot`` over
+    the scattered amplitudes.  The two agree bit for bit.
     """
 
     def __init__(self, config: LatticeConfig, amps: np.ndarray):
@@ -438,7 +434,8 @@ class _ParticleKernels:
 
     def occupancy(self, slot: int) -> float:
         z = self.compact.item(slot)
-        return z.real * z.real + z.imag * z.imag
+        w = z.real * z.real + z.imag * z.imag
+        return w if w <= 1.0 else 1.0
 
     def finish(self) -> None:
         self.amps[self.support] = self.compact

@@ -59,35 +59,17 @@ def vacuum_noise_stats(x: float, block_size: int) -> NoiseStats:
 
 
 @dataclass(frozen=True)
-class BinSpec:
-    """Probability bins on [0, 1]: interior boundaries, strictly increasing."""
+class _Bins:
+    """Probability bins on [0, 1], given by their interior boundaries."""
 
     boundaries: tuple[float, ...]
-
-    def __post_init__(self):
-        previous = 0.0
-        for edge in self.boundaries:
-            if not previous < edge < 1.0:
-                raise ConfigError(
-                    f"bin boundaries must be strictly increasing within (0, 1), got {self.boundaries}"
-                )
-            previous = edge
-
-    @classmethod
-    def equal_width(cls, count: int) -> "BinSpec":
-        if count < 1:
-            raise ConfigError(f"bin count must be >= 1, got {count}")
-        return cls(tuple(i / count for i in range(1, count)))
 
     @property
     def count(self) -> int:
         return len(self.boundaries) + 1
 
-    def edges(self) -> tuple[float, ...]:
-        return (0.0,) + self.boundaries + (1.0,)
 
-
-DEFAULT_BINS = BinSpec.equal_width(10)
+DEFAULT_BINS = _Bins(tuple(i / 10 for i in range(1, 10)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +124,7 @@ def reversal_chi_squared(
     ones = np.bincount(assignment, weights=flat_alpha, minlength=bins.count)
     prob_sums = np.bincount(assignment, weights=flat_p, minlength=bins.count)
 
-    all_edges = bins.edges()
+    all_edges = (0.0,) + bins.boundaries + (1.0,)
     diagnostics = []
     statistic = 0.0
     dof = 0

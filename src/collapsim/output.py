@@ -30,6 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MANIFEST_NAME = "manifest.jsonl"
 
 
@@ -70,6 +72,15 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
 def write_json(path: str | Path, payload: Mapping) -> None:
     """Write a JSON report; see module docstring for format rules."""
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def read_text(path: str | Path) -> str:
+    """Read an input file as UTF-8; other bytes raise ``ConfigError`` naming their offset."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -29,6 +29,7 @@ advances one step.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +43,7 @@ from .errors import (
     NoUniqueEquilibriumError,
     ResampleExhaustedError,
 )
-from .output import write_csv
+from .output import read_text, write_csv
 from .stats import PrngStream
 
 _COLUMN_SUM_TOL = 1e-12
@@ -147,16 +148,17 @@ def stationary(model: MarkovModel) -> Distribution:
 
     Repeatedly squares the kernel; the chain is ergodic exactly when the
     matrix powers converge to a rank-one matrix, whose common column is the
-    stationary distribution.  Chains without a unique attracting equilibrium
-    (the identity, periodic cycles, reducible chains) are rejected.
+    stationary distribution.  Each square's columns are renormalized to sum
+    to 1: squaring a slowly mixing kernel without it drifts off stochastic,
+    and the column spread stalls above tolerance.  A chain with more than one
+    closed class, or with a periodic one (the identity, a cycle), is rejected
+    after ``_STATIONARY_MAX_DOUBLINGS`` squarings; transient states are fine.
     """
     power = model.kernel
     for _ in range(_STATIONARY_MAX_DOUBLINGS):
-        squared = power @ power
-        spread = float((squared.max(axis=1) - squared.min(axis=1)).max())
-        step = float(np.abs(squared - power).max())
-        power = squared
-        if spread <= _STATIONARY_TOL:
+        power = power @ power
+        power /= power.sum(axis=0)
+        if float((power.max(axis=1) - power.min(axis=1)).max()) <= _STATIONARY_TOL:
             # One more squaring: convergence is quadratic, so this pushes the
             # column spread from ~1e-10 down to rounding level and the result
             # is a fixed point to machine precision, not just to tolerance.
@@ -166,10 +168,6 @@ def stationary(model: MarkovModel) -> Distribution:
             if float(np.abs(model.kernel @ pi - pi).max()) > _STATIONARY_TOL:
                 break
             return Distribution(pi)
-        if step <= _STATIONARY_TOL:
-            # Powers stopped moving but columns still disagree: idempotent
-            # limit of rank > 1 (e.g. identity or a reducible chain).
-            break
     raise NoUniqueEquilibriumError(
         "kernel powers did not converge to a unique equilibrium"
     )
@@ -378,8 +376,7 @@ def save_kernel(path: str | Path, model: MarkovModel) -> None:
 
 def load_kernel(path: str | Path) -> MarkovModel:
     """Read a kernel written by :func:`save_kernel`."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows or len(rows) < 2:
         raise ConfigError(f"{path}: empty kernel file")
     header = rows[0]

@@ -120,6 +120,16 @@ def test_lattice_run_without_usable_events_reports_degenerate(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [(np.zeros(4), "nonempty 2-d"), (np.zeros((0, 3)), "nonempty 2-d"), (np.full((2, 2), 1.5), r"\[0, 1\]")],
+    ids=["one-axis", "empty", "above-one"],
+)
+def test_write_pgm_rejects_bad_images(tmp_path, values, message):
+    with pytest.raises(ValueError, match=message):
+        write_pgm(tmp_path / "panel.pgm", values)
+
+
 def test_read_pgm_keeps_whitespace_pixels(tmp_path):
     # Pixels 10 and 32 are the bytes b"\n" and b" ".
     pixels = np.array([[10, 32, 9], [13, 255, 0]])
@@ -170,6 +180,13 @@ def test_lattice_batch_refuses_tiny_ensembles(tmp_path, capsys):
     )
     assert rc == 2
     assert "runs" in capsys.readouterr().err
+
+
+def test_qmupl_batch_refuses_a_single_run(tmp_path, capsys):
+    rc = run_cli("--experiment", "qmupl-batch", "--out", tmp_path, "--runs", "1")
+    assert rc == 2
+    assert "qmupl-batch needs runs >= 2, got 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lattice_batch_all_degenerate_is_reported_not_hidden(tmp_path):
@@ -255,6 +272,27 @@ def test_markov_demo_nan_kernel_is_a_config_error(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_markov_demo_non_utf8_kernel_is_a_config_error(tmp_path, capsys):
+    kernel_file = tmp_path / "latin1.csv"
+    kernel_file.write_bytes("target,from_\u00e9,from_b\n".encode("latin-1"))
+    out = tmp_path / "out"
+    rc = run_cli("--experiment", "markov-demo", "--out", out, "--kernel-file", kernel_file)
+    assert rc == 2
+    assert "latin1.csv: not UTF-8 text (byte 12)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_markov_demo_slowly_mixing_chain_exits_zero(tmp_path):
+    # Flip probability 1e-9: ergodic, so its equilibrium and reverse kernel
+    # exist however long the chain takes to mix.
+    kernel_file = tmp_path / "slow.csv"
+    kernel_file.write_text("target,from_a,from_b\na,0.999999999,1e-09\nb,1e-09,0.999999999\n")
+    rc = run_cli("--experiment", "markov-demo", "--out", tmp_path / "out", "--kernel-file", kernel_file)
+    assert rc == 0
+    rows = (tmp_path / "out" / "stationary.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
 def test_energy_demo_curve_shapes(tmp_path):
     rc = run_cli(
         "--experiment", "energy-demo", "--out", tmp_path, "--seed", "6",
@@ -335,6 +373,15 @@ def test_config_file_errors_carry_file_and_line(tmp_path, capsys):
     rc = run_cli("--config", cfg, "--out", tmp_path / "out")
     assert rc == 2
     assert "bad.cfg:2" in capsys.readouterr().err
+    cfg.write_text("runs=3\nseed=abc\n")
+    rc = run_cli("--config", cfg, "--out", tmp_path / "out")
+    assert rc == 2
+    assert "bad.cfg:2: invalid int for seed: 'abc'" in capsys.readouterr().err
+    # Not UTF-8: the offset names the first byte that does not decode.
+    cfg.write_bytes(b"seed=3\nexperiment=qmupl-run\xe9\n")
+    rc = run_cli("--config", cfg, "--out", tmp_path / "out")
+    assert rc == 2
+    assert "bad.cfg: not UTF-8 text (byte 27)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["experiment=lattice-rn", "initial=wave"])
@@ -485,6 +532,22 @@ def test_missing_experiment_is_a_config_error(tmp_path, capsys):
     rc = run_cli("--out", tmp_path)
     assert rc == 2
     assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--experiment", "markov-demo"), "no output directory"),
+        (("--experiment", "markov-demo", "--out", "out", "--workers", "0"), "workers must be >= 1, got 0"),
+    ],
+    ids=["no-out", "zero-workers"],
+)
+def test_run_settings_are_checked_before_running(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(*flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_model_parameter_is_a_config_error(tmp_path, capsys):

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from collapsim.errors import ConfigError, DimensionError, InvalidStateError
+from collapsim.errors import ConfigError, DegenerateTestError, DimensionError, InvalidStateError
 from collapsim.lattice import (
     MAX_COLUMNS,
     _kernels,
     _pass,
     _ParticleKernels,
-    _renormalize,
+    _reciprocal_norm,
     _ViewKernels,
     LatticeConfig,
     QuantumState,
@@ -29,6 +29,7 @@ from collapsim.lattice import (
     single_particle_state,
     vertex_columns,
 )
+from collapsim.lattice_analysis import reversal_chi_squared
 from collapsim.stats import PrngStream
 
 
@@ -83,6 +84,61 @@ def test_config_validation():
         LatticeConfig(n_columns=4, collapse_x=-0.1, theta=0.3, steps=10)
     with pytest.raises(ConfigError):
         LatticeConfig(n_columns=4, collapse_x=0.5, theta=0.3, steps=0)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="theta must be finite"):
+            LatticeConfig(n_columns=4, collapse_x=0.5, theta=theta, steps=10)
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (np.zeros(4), "shape"),
+        (np.zeros((0, 4)), "shape"),
+        (np.zeros((3, 5)), "shape"),
+        (np.full((3, 4), 2), "0 or 1"),
+    ],
+    ids=["one-axis", "no-steps", "odd-width", "non-binary"],
+)
+def test_field_validation(alpha, message):
+    with pytest.raises(DimensionError, match=message):
+        StochasticField(alpha)
+
+
+_PAIR = build_basis_state((1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pattern_to_index((0, 2)), DimensionError),
+        (lambda: apply_vertex(_PAIR, 3, 0.3), DimensionError),
+        (lambda: apply_jump(_PAIR, 0, 1, 0.5), DimensionError),
+        (lambda: apply_jump(_PAIR, 1, 2, 0.5), DimensionError),
+        (lambda: apply_jump(_PAIR, 1, 1, 1.5), ConfigError),
+        (lambda: occupancy_expectation(_PAIR, 3), DimensionError),
+        (lambda: occupancy_expectation(QuantumState(np.zeros(4)), 1), InvalidStateError),
+        (lambda: vertex_columns(-1, 1, 3), DimensionError),
+        (lambda: vertex_columns(0, 0, 3), DimensionError),
+        (lambda: vertex_columns(0, 4, 3), DimensionError),
+    ],
+    ids=[
+        "bad-bit", "vertex-column", "jump-column", "jump-alpha", "jump-x",
+        "occupancy-column", "occupancy-zero-state", "negative-step",
+        "vertex-zero", "vertex-past-ring",
+    ],
+)
+def test_public_operations_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_runs_check_the_state_they_start_from():
+    config = LatticeConfig(n_columns=4, collapse_x=0.5, theta=0.3, steps=2)
+    with pytest.raises(DimensionError, match="initial state has 6 columns"):
+        run_forward(config, single_particle_state(6, 2), PrngStream(1))
+    unnormalized = QuantumState(2.0 * single_particle_state(4, 2).amplitudes)
+    with pytest.raises(InvalidStateError, match="final state must be normalized"):
+        run_backward(config, StochasticField(np.zeros((2, 4))), unnormalized)
 
 
 def test_brickwork_pairing():
@@ -505,7 +561,7 @@ def test_renormalize_matches_division(kind, n_columns):
     amps = _unnormalized_state(kind, n_columns, np.random.default_rng([13, n_columns]))
     norm_squared = float(np.vdot(amps, amps).real)
     expected = amps / math.sqrt(norm_squared)
-    _renormalize(amps)
+    amps *= _reciprocal_norm(amps)
     assert np.array_equal(amps.view(np.float64), expected.view(np.float64))
 
 
@@ -652,11 +708,11 @@ def _particle_start(start, n_columns):
 @pytest.mark.parametrize("start", ["vacuum", "particle", "superposition"])
 @pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
 def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, x):
-    # Each vertex of a vacuum or one-particle state mixes two amplitudes and
-    # each occupancy sums one nonzero term, so the particle kernels must
-    # reproduce every bit of the dense pass: field, probabilities,
-    # occupancies and final amplitudes, forward and backward from the
-    # conjugated final state.
+    # The particle kernels against the view kernels.  Each vertex of a
+    # vacuum or one-particle state mixes two amplitudes and each occupancy
+    # sums one nonzero term, so the particle kernels must reproduce every
+    # bit of the dense pass: field, probabilities, occupancies and final
+    # amplitudes, forward and backward from the conjugated final state.
     config = LatticeConfig(n_columns, x, theta, steps=6)
     initial = _particle_start(start, n_columns)
     runs = []
@@ -669,7 +725,7 @@ def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, 
     assert runs[0] == runs[1]
 
 
-def test_dispatch_takes_sector_kernels_only_for_small_sectors():
+def test_dispatch_takes_particle_kernels_only_for_small_sectors():
     # The particle kernels take exactly the states with weight in the vacuum
     # and one-particle sectors alone; every other state takes the views.
     config = LatticeConfig(8, 0.5, 0.7, steps=1)
@@ -683,3 +739,31 @@ def test_dispatch_takes_sector_kernels_only_for_small_sectors():
     wide[[0b111, 0b1111, 0b11111]] = 1 / math.sqrt(3)
     for amps in (_two_particle_state(8, np_rng), random_state(8, np_rng).amplitudes, wide):
         assert isinstance(_kernels(config, amps.copy()), _ViewKernels)
+
+
+def _complex_phase_start(n_columns, column):
+    """One particle at ``column`` with amplitude ``0.6 + 0.8i``."""
+    amps = np.zeros(1 << n_columns, dtype=np.complex128)
+    amps[1 << (column - 1)] = 0.6 + 0.8j
+    return QuantumState(amps)
+
+
+def test_projective_runs_record_occupancies_within_one():
+    # At X = 0 a jump leaves a lone complex amplitude, whose squared modulus
+    # after renormalizing can round to 1 + 1 ulp.  Random states take the
+    # view kernels and the complex-phase start takes the particle kernels;
+    # every recorded value must stay in [0, 1], so the reversal test scores
+    # the run (or finds it degenerate) instead of rejecting its input.
+    np_rng = np.random.default_rng(59)
+    starts = [random_state(n, np_rng) for n in (4, 6, 8) for _ in range(5)]
+    starts += [_complex_phase_start(8, 4)] * 20
+    for seed, initial in enumerate(starts):
+        config = LatticeConfig(initial.n_columns, 0.0, 0.3, steps=10)
+        record, final = run_forward(config, initial, PrngStream(seed))
+        back, _ = run_backward(config, record.field, conjugate(final))
+        for values in (record.occupancy, record.probabilities, back.occupancy, back.probabilities):
+            assert values.max() <= 1.0
+        try:
+            reversal_chi_squared(record.field, back.probabilities)
+        except DegenerateTestError:
+            pass

@@ -11,7 +11,6 @@ from collapsim.errors import (
 from collapsim.lattice import LatticeConfig, StochasticField, build_basis_state, run_forward
 from collapsim.lattice_analysis import (
     DEFAULT_BINS,
-    BinSpec,
     pvalue_uniformity,
     reversal_chi_squared,
     vacuum_noise_stats,
@@ -32,6 +31,10 @@ def test_vacuum_noise_values():
     assert stats.sigma_squared == pytest.approx(1.0 / 16.0)
     silent = vacuum_noise_stats(0.0, 10)
     assert silent.mu == 0.0 and silent.sigma_squared == 0.0
+    with pytest.raises(ConfigError, match="collapse_x"):
+        vacuum_noise_stats(1.5, 10)
+    with pytest.raises(ConfigError, match="block_size"):
+        vacuum_noise_stats(0.5, 0)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0])
@@ -130,15 +133,21 @@ def test_chi_squared_shape_mismatch():
         reversal_chi_squared(field, probs[:, :5])
 
 
-def test_bin_spec_validation():
+@pytest.mark.parametrize("bad", [-0.1, 1.0 + 2**-52])
+def test_chi_squared_rejects_probabilities_outside_unit_interval(bad):
+    field, probs = _uniform_half_field(50)
+    probs[3, 4] = bad
+    with pytest.raises(ConfigError, match=r"probabilities must lie in \[0, 1\]"):
+        reversal_chi_squared(field, probs)
+
+
+def test_default_bins_are_ten_tenths():
     assert DEFAULT_BINS.count == 10
-    assert BinSpec.equal_width(4).edges() == (0.0, 0.25, 0.5, 0.75, 1.0)
-    with pytest.raises(ConfigError):
-        BinSpec((0.5, 0.4))
-    with pytest.raises(ConfigError):
-        BinSpec((0.0, 0.5))
-    with pytest.raises(ConfigError):
-        BinSpec.equal_width(0)
+    assert DEFAULT_BINS.boundaries == tuple(i / 10 for i in range(1, 10))
+    field, probs = _uniform_half_field(50)
+    bins = reversal_chi_squared(field, probs).bins
+    assert [b.lower for b in bins] == [i / 10 for i in range(10)]
+    assert [b.upper for b in bins] == [i / 10 for i in range(1, 11)]
 
 
 def test_chi_squared_calibrated_on_synthetic_null():

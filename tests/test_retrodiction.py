@@ -101,6 +101,9 @@ def test_distribution_validation_and_constructors():
         Distribution(np.array([0.7, 0.7]))
     with pytest.raises(ConfigError):
         Distribution(np.array([1.5, -0.5]))
+    for not_a_vector in (np.array(1.0), np.full((2, 2), 0.25), np.array([])):
+        with pytest.raises(DimensionError):
+            Distribution(not_a_vector)
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +135,10 @@ def test_evolve_doubly_stochastic_fixes_uniform():
 def test_evolve_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
         evolve(SYMMETRIC, Distribution.uniform(3))
+    with pytest.raises(DimensionError):
+        retrodict(SYMMETRIC, Distribution.uniform(3), "S1")
+    with pytest.raises(DimensionError):
+        equilibrium_retrodiction(SYMMETRIC, Distribution.uniform(3))
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +161,31 @@ def test_stationary_rejects_identity_and_period_two():
         stationary(IDENTITY3)
     with pytest.raises(NoUniqueEquilibriumError):
         stationary(MarkovModel(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]])))
+    with pytest.raises(NoUniqueEquilibriumError):
+        stationary(MarkovModel(("x", "y", "z"), np.roll(np.eye(3), 1, axis=0)))
+    two_classes = np.kron(np.eye(2), np.full((2, 2), 0.5))
+    with pytest.raises(NoUniqueEquilibriumError):
+        stationary(MarkovModel(("a", "b", "c", "d"), two_classes))
+
+
+def slow_cycle(n, step):
+    """Each state stays put, or moves to the next one round a cycle with probability ``step``."""
+    kernel = (1.0 - step) * np.eye(n) + step * np.roll(np.eye(n), 1, axis=0)
+    return MarkovModel(tuple(f"s{i}" for i in range(n)), kernel)
+
+
+@pytest.mark.parametrize("n, step", [(2, 1e-9), (2, 1e-12), (3, 1e-12)])
+def test_stationary_accepts_slowly_mixing_chains(n, step):
+    # Ergodic however slowly they mix: the powers reach rank one within
+    # 2**64 steps, and the equilibrium is uniform by symmetry.
+    pi = stationary(slow_cycle(n, step))
+    assert np.allclose(pi.probabilities, 1.0 / n, atol=1e-12)
+
+
+def test_stationary_accepts_transient_states():
+    # One closed class {b, c}; a leaks into it and is never re-entered.
+    model = MarkovModel(("a", "b", "c"), np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+    assert np.allclose(stationary(model).probabilities, [0.0, 0.5, 0.5], atol=1e-12)
 
 
 def test_stationary_is_a_fixed_point_on_random_chains():
@@ -584,4 +616,7 @@ def test_load_kernel_rejects_malformed_files(tmp_path):
         load_kernel(bad)
     bad.write_text("target,from_a,from_b\na,0.5,oops\nb,0.5,0.5\n")
     with pytest.raises(ConfigError):
+        load_kernel(bad)
+    bad.write_bytes(b"target,from_a,from_b\na,0.5,0.5\nb,0.5,0.5\xff\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv: not UTF-8 text \(byte 40\)"):
         load_kernel(bad)

@@ -218,6 +218,21 @@ def test_chi_squared_sf_against_scipy():
             assert chi_squared_sf(x, dof) == pytest.approx(expected, abs=1e-12, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: regularized_gamma_q(0.0, 1.0), "shape parameter"),
+        (lambda: regularized_gamma_q(1.0, -1.0), "argument"),
+        (lambda: chi_squared_sf(1.0, 0), "degrees of freedom"),
+        (lambda: chi_squared_sf(-1.0, 1), "statistic"),
+    ],
+    ids=["gamma-shape", "gamma-argument", "chi-squared-dof", "chi-squared-statistic"],
+)
+def test_special_functions_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_standard_normal_cdf_against_scipy():
     xs = np.linspace(-8, 8, 101)
     expected = scipy.stats.norm.cdf(xs)
