@@ -26,7 +26,10 @@ parameters), then a key=value config file (--config), then explicit flags.
 Every artifact is listed in manifest.jsonl with the resolved parameters and
 base seed, so any file can be regenerated exactly.  Repeated invocations
 with the same configuration and seed produce byte-identical outputs,
-including under --workers parallelism.
+including under --workers parallelism: run i of a batch draws from child
+stream i of the base seed, and the batch is handed out as contiguous ranges
+of run indices (qmupl-batch back-solves each range in one call) whose rows
+are collected in index order.
 
 Each runner is a function of the resolved parameters alone: it computes
 everything first, then returns its artifacts as (name, write, *args)
@@ -157,41 +160,58 @@ def run_lattice_run(params: dict) -> list:
     ]
 
 
-def _lattice_batch_worker(task) -> tuple:
-    index, seed, params = task
-    record, back = _lattice_reversal(params, PrngStream(seed).split(index))
-    try:
-        report = reversal_chi_squared(record.field, back.probabilities)
-        return index, report.statistic, report.dof, report.p_value
-    except DegenerateTestError:
-        return index, None, None, None
+def _lattice_batch_worker(task) -> list[tuple]:
+    start, stop, seed, params = task
+    root = PrngStream(seed)
+    rows = []
+    for index in range(start, stop):
+        record, back = _lattice_reversal(params, root.split(index))
+        try:
+            report = reversal_chi_squared(record.field, back.probabilities)
+            rows.append((index, report.statistic, report.dof, report.p_value))
+        except DegenerateTestError:
+            rows.append((index, None, None, None))
+    return rows
 
 
-def _qmupl_batch_worker(task) -> tuple:
-    index, seed, params = task
-    config = _qmupl_config(params)
-    _, back = _qmupl_reversal(config, PrngStream(seed).split(index))
-    try:
-        report = normality_test(back.dB, config.dt)
-        return index, report.statistic, None, report.p_value
-    except DegenerateTestError:
-        return index, None, None, None
+def _qmupl_batch_worker(task) -> list[tuple]:
+    config, _, _, back = _qmupl_range_reversal(task)
+    rows = []
+    for index, increments in zip(range(task[0], task[1]), back.dB):
+        try:
+            report = normality_test(increments, config.dt)
+            rows.append((index, report.statistic, None, report.p_value))
+        except DegenerateTestError:
+            rows.append((index, None, None, None))
+    return rows
+
+
+# Most runs in one task.  A qmupl-batch range holds its record and
+# back-solve as (runs, n_steps) arrays, 0.5 MB each at 64 runs of the
+# default 1000 steps; they grow with n_steps.
+_MAX_RANGE = 64
 
 
 def _fan_out(worker, params: dict) -> list[tuple]:
-    """Run the per-seed worker over all run indices, optionally in parallel.
+    """Run the batch worker over all run indices, optionally in parallel.
 
-    Each task depends only on (base seed, run index), so the result list is
-    identical for any worker count; outputs are collected in index order.
-    No more processes start than there are runs or CPUs.
+    Each task ``(start, stop, seed, params)`` covers a contiguous range of
+    run indices, at most ``_MAX_RANGE`` of them, and the worker returns one
+    row per run.  Each run depends only on (base seed, run index), so the
+    rows are identical for any worker count; they are collected in index
+    order.  No more processes start than there are runs or CPUs.
     """
-    tasks = [(i, params["seed"], params) for i in range(params["runs"])]
-    workers = min(params["workers"], params["runs"], os.cpu_count() or 1)
+    runs = params["runs"]
+    workers = min(params["workers"], runs, os.cpu_count() or 1)
+    size = max(1, min(runs // (workers * 8), _MAX_RANGE))
+    tasks = [
+        (start, min(start + size, runs), params["seed"], params)
+        for start in range(0, runs, size)
+    ]
     if workers <= 1:
-        return [worker(task) for task in tasks]
-    chunk = max(1, params["runs"] // (workers * 8))
+        return [row for rows in map(worker, tasks) for row in rows]
     with multiprocessing.Pool(workers) as pool:
-        return list(pool.imap(worker, tasks, chunksize=chunk))
+        return [row for rows in pool.imap(worker, tasks) for row in rows]
 
 
 def _batch_reports(results: list[tuple], params: dict) -> list:
@@ -257,6 +277,27 @@ def _qmupl_reversal(config: QmuplConfig, stream: PrngStream) -> tuple:
     """A forward trajectory and its back-solve from the final state."""
     trajectory = simulate_forward(config, stream)
     return trajectory, reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
+
+
+def _qmupl_range_reversal(task) -> tuple:
+    """Back-solves of the batch runs ``start .. stop - 1`` of a range task.
+
+    Each forward run keeps only its record and end point; one call then
+    back-solves them all.  Returns the config, the end points ``x_n`` and
+    ``p_n`` and the back-solve, each indexed by run within the range.
+    """
+    start, stop, seed, params = task
+    config = _qmupl_config(params)
+    root = PrngStream(seed)
+    record = np.empty((stop - start, config.n))
+    x_n = np.empty(stop - start)
+    p_n = np.empty(stop - start)
+    for row, index in enumerate(range(start, stop)):
+        trajectory = simulate_forward(config, root.split(index))
+        record[row] = trajectory.z
+        x_n[row] = trajectory.x[-1]
+        p_n[row] = trajectory.p[-1]
+    return config, x_n, p_n, reverse_trajectory(record, x_n, p_n, config)
 
 
 def run_qmupl_run(params: dict) -> list:

@@ -26,6 +26,11 @@ Both directions return one ``WavePacketTrajectory(x, p, z, dB)`` indexed in
 forward time: the forward run's ``z`` is the record it wrote, the
 back-solve's the record it consumed.
 
+The recursions are computed on arrays, in the order of the step-by-step
+updates, so every value rounds exactly as the scalar recursion would: the
+forward run as running sums (``np.add.accumulate``), the back-solve as one
+loop over steps with numpy over a batch of runs.
+
 If the implied increments ``dB'`` pass a normality test at scale
 ``sqrt(dt)``, the record is statistically indistinguishable from one
 generated in reverse time, except for two combinations of ``dB'`` that the
@@ -106,39 +111,41 @@ def simulate_forward(
 
     ``increments`` substitutes a fixed noise sequence for the sampled one
     (useful for noise-free and replay tests); otherwise each ``dB_i`` is an
-    independent N(0, dt) draw from ``rng``.
+    independent N(0, dt) draw from ``rng``, one :meth:`PrngStream.gaussian`
+    call per step.
+
+    The recursion runs as two running sums, which add in the order of the
+    step-by-step update and so round exactly as it does: ``p`` sums
+    ``(g / 2) dB_i`` onto ``p0``, and ``x`` sums the interleaved terms
+    ``(p_i / m) dt`` and ``dB_i / sqrt(m)`` onto ``x0``.  An overflow gives
+    inf or NaN quietly, as Python float arithmetic does.
     """
     n = config.n
     if increments is None:
-        scale = math.sqrt(config.dt)
-        gaussian = rng.gaussian
-        steps = [gaussian() * scale for _ in range(n)]
-        dB = np.array(steps)
+        dB = np.fromiter(iter(rng.gaussian, None), dtype=float, count=n) * math.sqrt(config.dt)
     else:
         dB = np.asarray(increments, dtype=float)
         if dB.shape != (n,):
             raise DimensionError(f"increments must have shape ({n},), got {dB.shape}")
-        steps = dB.tolist()
     m, dt = config.m, config.dt
-    sqrt_m = math.sqrt(m)
-    g_dt = config.g * dt
-    half_g = 0.5 * config.g
-    x, p = float(config.x0), float(config.p0)
-    xs, ps = [x], [p]
-    for step in steps:
-        x, p = x + (p / m) * dt + step / sqrt_m, p + half_g * step
-        xs.append(x)
-        ps.append(p)
-    x_array = np.array(xs)
-    # numpy rounds each element exactly as the scalar update would; an
-    # overflow gives inf quietly, as Python float arithmetic does.
+    terms = np.empty(2 * n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x_array[:-1] + dB / g_dt
-    return WavePacketTrajectory(x=x_array, p=np.array(ps), z=z, dB=dB)
+        terms[0] = config.p0
+        np.multiply(0.5 * config.g, dB, out=terms[1 : n + 1])
+        p = np.add.accumulate(terms[: n + 1])
+        terms[0] = config.x0
+        terms[1::2] = (p[:-1] / m) * dt
+        terms[2::2] = dB / math.sqrt(m)
+        x = np.add.accumulate(terms)[::2].copy()
+        z = x[:-1] + dB / (config.g * dt)
+    return WavePacketTrajectory(x=x, p=p, z=z, dB=dB)
 
 
 def reverse_trajectory(
-    z: Sequence[float], x_n: float, p_n: float, config: QmuplConfig
+    z: Sequence[float] | np.ndarray,
+    x_n: float | np.ndarray,
+    p_n: float | np.ndarray,
+    config: QmuplConfig,
 ) -> WavePacketTrajectory:
     """Back-solve a trajectory from the recorded centres and the forward end point.
 
@@ -146,26 +153,52 @@ def reverse_trajectory(
     the position unchanged and flips the momentum sign itself, then runs the
     recursion ``i = n .. 1``, filling the primed arrays down to index 0.  The
     result carries the record ``z`` it was solved against.
+
+    One call also back-solves a batch: a ``(runs, n)`` record with ``(runs,)``
+    end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
+    bit for bit what row ``r`` alone gives.  The loop runs over steps, with
+    numpy over runs.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
-    if centres.shape != (n,):
-        raise DimensionError(f"centres must have shape ({n},), got {centres.shape}")
+    if centres.shape[-1:] != (n,) or centres.ndim > 2:
+        raise DimensionError(f"centres must have shape ({n},) or (runs, {n}), got {centres.shape}")
+    runs = centres.shape[:-1]
+    x_end = np.asarray(x_n, dtype=float)
+    p_end = np.asarray(p_n, dtype=float)
+    if x_end.shape != runs or p_end.shape != runs:
+        raise DimensionError(
+            f"end points must have shape {runs}, got {x_end.shape} and {p_end.shape}"
+        )
     m, dt = config.m, config.dt
     sqrt_m = math.sqrt(m)
     g_dt = config.g * dt
     half_g = 0.5 * config.g
-    x, p = float(x_n), -float(p_n)
-    xs, ps, steps = [x], [p], []
-    for centre in reversed(centres.tolist()):
-        step = g_dt * (centre - x)
-        x, p = x + (p / m) * dt + step / sqrt_m, p + half_g * step
-        xs.append(x)
-        ps.append(p)
-        steps.append(step)
-    return WavePacketTrajectory(
-        x=np.array(xs[::-1]), p=np.array(ps[::-1]), z=centres, dB=np.array(steps[::-1])
-    )
+    # Step-major work arrays, so each step reads and writes one row.
+    record = centres.reshape(-1, n).T
+    xs = np.empty((n + 1, record.shape[1]))
+    ps = np.empty_like(xs)
+    steps = np.empty((n, record.shape[1]))
+    xs[n] = x_end
+    np.negative(p_end, out=ps[n])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            x, p, step, x_prev, p_prev = xs[i + 1], ps[i + 1], steps[i], xs[i], ps[i]
+            # step = g dt (z - x); x' = x + (p / m) dt + step / sqrt(m); p' = p + (g / 2) step
+            np.subtract(record[i], x, out=step)
+            np.multiply(g_dt, step, out=step)
+            np.divide(p, m, out=x_prev)
+            np.multiply(x_prev, dt, out=x_prev)
+            np.add(x, x_prev, out=x_prev)
+            np.divide(step, sqrt_m, out=p_prev)
+            np.add(x_prev, p_prev, out=x_prev)
+            np.multiply(half_g, step, out=p_prev)
+            np.add(p, p_prev, out=p_prev)
+
+    def by_run(array: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(array.T.reshape(*runs, -1))
+
+    return WavePacketTrajectory(x=by_run(xs), p=by_run(ps), z=centres, dB=by_run(steps))
 
 
 def normality_test(increments: Sequence[float], dt: float) -> TestReport:

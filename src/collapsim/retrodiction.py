@@ -143,6 +143,33 @@ def evolve(model: MarkovModel, dist: Distribution) -> Distribution:
     return Distribution(model.kernel @ dist.probabilities)
 
 
+def _reaches_one_state_from_all(kernel: np.ndarray) -> bool:
+    """Whether some state is reachable from every state in exactly 2^k steps.
+
+    Such a state exists exactly when the chain has one closed class and it
+    is aperiodic.  From two closed classes no state is reachable from both,
+    and in a class of period d > 1 states of different phase reach disjoint
+    sets at every step.  One aperiodic closed class of c states is entered
+    within n - c steps, and walks inside it reach all of it from
+    (c - 1)^2 + 1 steps on, so 2^k >= n^2 steps always suffice.
+
+    The 0/1 support is squared until a row is all ones (it stays so), the
+    support stops changing (it stays so) or 2^k reaches n^2.
+    """
+    n = kernel.shape[0]
+    reach = kernel > 0.0
+    steps = 1
+    while not reach.all(axis=1).any():
+        if steps >= n * n:
+            return False
+        squared = reach.astype(float) @ reach > 0.0
+        if np.array_equal(squared, reach):
+            return False
+        reach = squared
+        steps *= 2
+    return True
+
+
 def stationary(model: MarkovModel) -> Distribution:
     """Unique attracting fixed point of `evolve`, by power convergence.
 
@@ -152,8 +179,14 @@ def stationary(model: MarkovModel) -> Distribution:
     to 1: squaring a slowly mixing kernel without it drifts off stochastic,
     and the column spread stalls above tolerance.  A chain with more than one
     closed class, or with a periodic one (the identity, a cycle), is rejected
-    after ``_STATIONARY_MAX_DOUBLINGS`` squarings; transient states are fine.
+    from the kernel's support before any squaring; transient states are fine.
+    A chain that passes but whose powers still differ after
+    ``_STATIONARY_MAX_DOUBLINGS`` squarings is rejected too.
     """
+    if not _reaches_one_state_from_all(model.kernel):
+        raise NoUniqueEquilibriumError(
+            "kernel has more than one closed class, or a periodic one: no unique equilibrium"
+        )
     power = model.kernel
     for _ in range(_STATIONARY_MAX_DOUBLINGS):
         power = power @ power

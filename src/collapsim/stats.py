@@ -11,7 +11,12 @@ to fork: a (seed, stream id) pair fully determines the sequence, and
 :meth:`PrngStream.split` derives child streams without touching the parent's
 position.  Numpy computes the outputs a block of counters at a time, in
 ``uint64`` arithmetic that wraps mod 2^64 as the scalar ``_mix64`` masks, so
-the draws are bit-identical to the scalar generator's.
+the draws are bit-identical to the scalar generator's.  Gaussian draws come
+from one Box-Muller transform of all pending output pairs: numpy does the
+steps that IEEE arithmetic rounds alike everywhere (``1 - u``, ``-2 *``,
+``sqrt``, ``2 pi *`` and the products), while ``log``, ``cos`` and ``sin``
+stay on ``math`` per element, because numpy's SIMD versions differ from it
+by an ulp on some inputs and vary by CPU.
 
 The hypothesis-testing helpers (`chi_squared_sf`, `ks_test`,
 `standard_normal_cdf`) return plain floats or a :class:`TestReport` and are
@@ -40,6 +45,7 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xC2B2AE3D27D4EB4F
 
 _TWO_NEG_53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -68,6 +74,25 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _box_muller(u64s: np.ndarray) -> list[float]:
+    """Standard normals of the consecutive output pairs in ``u64s``, last first for popping.
+
+    Pair ``(a, b)`` gives ``r cos(t)`` and then ``r sin(t)``, with
+    ``r = sqrt(-2 log(1 - u(a)))`` and ``t = 2 pi u(b)`` for the 53-bit
+    uniform ``u`` of :meth:`PrngStream.uniform`; ``1 - u`` lies in (0, 1],
+    keeping the logarithm finite.  Each step rounds as the scalar one does.
+    """
+    uniforms = (u64s >> np.uint64(11)).astype(float) * _TWO_NEG_53
+    pairs = uniforms.size // 2
+    logs = np.fromiter(map(math.log, (1.0 - uniforms[0::2]).tolist()), dtype=float, count=pairs)
+    radius = np.sqrt(-2.0 * logs)
+    angles = (_TWO_PI * uniforms[1::2]).tolist()
+    normals = np.empty(uniforms.size)
+    normals[0::2] = radius * np.fromiter(map(math.cos, angles), dtype=float, count=pairs)
+    normals[1::2] = radius * np.fromiter(map(math.sin, angles), dtype=float, count=pairs)
+    return normals[::-1].tolist()
+
+
 class PrngStream:
     """Counter-based SplitMix64 stream, seedable and splittable.
 
@@ -75,18 +100,24 @@ class PrngStream:
     yield identical draw sequences on every platform; distinct stream ids
     give statistically independent sequences.  Splitting is a pure function
     of the identifiers, so it can be done before, after, or without drawing.
+    Any mix of calls draws what a generator serving one counter at a time
+    would: a Gaussian pair takes two consecutive outputs, and its second
+    normal waits for the next :meth:`gaussian` call.
     """
 
-    __slots__ = ("seed", "stream_id", "_state", "_block", "_gauss_spare")
+    __slots__ = ("seed", "stream_id", "_state", "_block", "_normals", "_normal_u64s")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         # _state is the counter the next block starts from; _block holds
-        # the current block's unserved outputs, the next one last.
+        # the current block's unserved outputs, the next one last.  _normals
+        # holds the unserved normals, the next one last, and _normal_u64s
+        # the outputs they were transformed from, in counter order.
         self._state = _mix64(self.seed ^ _mix64(self.stream_id * _STREAM_SALT + 1))
         self._block: list[int] = []
-        self._gauss_spare: float | None = None
+        self._normals: list[float] = []
+        self._normal_u64s: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrngStream(seed={self.seed:#x}, stream_id={self.stream_id:#x})"
@@ -99,16 +130,33 @@ class PrngStream:
         """
         return PrngStream(self.seed, _mix64(self.stream_id ^ _mix64((child_id & _MASK64) + GAMMA)))
 
+    def _next_block(self) -> np.ndarray:
+        """The next ``_BLOCK`` outputs in counter order; the state moves past them."""
+        counters = _BLOCK_OFFSETS + np.uint64(self._state)
+        self._state = (self._state + _BLOCK_ADVANCE) & _MASK64
+        return _mix64_block(counters)
+
+    def _refund_normals(self) -> None:
+        """Return the outputs of the normal pairs no :meth:`gaussian` call has begun.
+
+        They go back in front of the pending outputs; a waiting second normal
+        stays.
+        """
+        whole = len(self._normals) & ~1
+        if whole:
+            self._block.extend(self._normal_u64s[: -whole - 1 : -1].tolist())
+            del self._normals[:whole]
+
     def next_u64(self) -> int:
         """Finalizer of the stream's next counter.
 
         Outputs are computed ``_BLOCK`` counters at a time and served in
         counter order.
         """
+        if self._normals:
+            self._refund_normals()
         if not self._block:
-            counters = _BLOCK_OFFSETS + np.uint64(self._state)
-            self._block = _mix64_block(counters)[::-1].tolist()
-            self._state = (self._state + _BLOCK_ADVANCE) & _MASK64
+            self._block = self._next_block()[::-1].tolist()
         return self._block.pop()
 
     def uniform(self) -> float:
@@ -118,18 +166,24 @@ class PrngStream:
     def gaussian(self) -> float:
         """Standard normal draw via the Box-Muller transform.
 
-        Each transform consumes exactly two uniforms and produces two
-        normals; the second is cached and returned by the next call.
+        One transform serves the whole pairs of pending outputs, or a fresh
+        block when fewer than two are pending; a single leftover output opens
+        the fresh block's first pair.
         """
-        if self._gauss_spare is not None:
-            value = self._gauss_spare
-            self._gauss_spare = None
-            return value
-        # 1 - uniform() lies in (0, 1], keeping the logarithm finite.
-        radius = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
-        angle = 2.0 * math.pi * self.uniform()
-        self._gauss_spare = radius * math.sin(angle)
-        return radius * math.cos(angle)
+        if not self._normals:
+            block = self._block
+            if len(block) >= 2:
+                taken = len(block) & ~1
+                u64s = np.array(block[: -taken - 1 : -1], dtype=np.uint64)
+                del block[-taken:]
+            else:
+                u64s = self._next_block()
+                if block:
+                    self._block = u64s[-1:].tolist()
+                    u64s = np.concatenate((np.array(block, dtype=np.uint64), u64s[:-1]))
+            self._normal_u64s = u64s
+            self._normals = _box_muller(u64s)
+        return self._normals.pop()
 
 
 # ======================================================================

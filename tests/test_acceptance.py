@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_config, _qmupl_reversal
+from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_range_reversal
 from collapsim.lattice import (
     LatticeConfig,
     QuantumState,
@@ -279,14 +279,14 @@ def test_criterion_05_null_calibration_and_shift_power(capsys):
 PINNED_TOLERANCE = 1e-9
 
 
-def wavepacket_run(task):
-    """One run of the qmupl-batch stream: (projected KS p-value, pinned gap)."""
-    index, seed, params = task
-    config = _qmupl_config(params)
-    trajectory, back = _qmupl_reversal(config, PrngStream(seed).split(index))
-    x_n, p_n = trajectory.x[-1], trajectory.p[-1]
-    result = projected_normality_test(back.dB, x_n, p_n, config)
-    return result.free.p_value, result.pinned_gap
+def wavepacket_runs(task):
+    """A range of runs of the qmupl-batch stream: (projected KS p-value, pinned gap) each."""
+    config, x_n, p_n, back = _qmupl_range_reversal(task)
+    rows = []
+    for increments, x_end, p_end in zip(back.dB, x_n, p_n):
+        result = projected_normality_test(increments, x_end, p_end, config)
+        rows.append((result.free.p_value, result.pinned_gap))
+    return rows
 
 
 def test_criterion_06_wavepacket_pvalues_uniform(capsys):
@@ -300,7 +300,7 @@ def test_criterion_06_wavepacket_pvalues_uniform(capsys):
         "dt": 0.001,
         "n_steps": 1000,
     }
-    results = _fan_out(wavepacket_run, params)
+    results = _fan_out(wavepacket_runs, params)
     p_values = np.array([p_value for p_value, _ in results])
     worst_gap = max(gap for _, gap in results)
     uniformity = pvalue_uniformity(p_values)

@@ -583,12 +583,24 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert artifact_bytes(first) == artifact_bytes(second)
 
 
-def test_worker_count_does_not_change_outputs(tmp_path):
+# 53 runs split into ranges of 53 // (workers * 8) runs, so the last range
+# is shorter than the others at every worker count.
+WORKER_ARGS = {
+    "lattice-batch": ("--runs", "53", "--lattice-n", "8", "--steps", "40"),
+    "qmupl-batch": ("--runs", "53", "--n-steps", "200"),
+}
+
+
+@pytest.mark.parametrize("experiment", WORKER_ARGS)
+def test_worker_count_does_not_change_outputs(tmp_path, experiment):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert run_cli(*BATCH_ARGS, "--out", serial, "--workers", "1") == 0
-    assert run_cli(*BATCH_ARGS, "--out", parallel, "--workers", "3") == 0
+    args = ("--experiment", experiment, "--seed", "77", *WORKER_ARGS[experiment])
+    assert run_cli(*args, "--out", serial, "--workers", "1") == 0
+    assert run_cli(*args, "--out", parallel, "--workers", "3") == 0
     assert artifact_bytes(serial) == artifact_bytes(parallel)
+    runs = [row.split(",")[0] for row in (serial / "pvalues.csv").read_text().splitlines()[1:]]
+    assert runs == [str(i) for i in range(53)]
 
 
 def test_rerun_into_same_directory_rewrites_manifest(tmp_path):
@@ -675,11 +687,12 @@ def test_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (16, [10]), (1, []), (None, [])])
-def test_workers_are_capped_at_cpu_count(monkeypatch, cpus, pools):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run pool tasks in this process instead; returns the list of pool sizes started."""
     started = []
 
-    class FakePool:
+    class InProcessPool:
         def __init__(self, processes):
             started.append(processes)
 
@@ -689,11 +702,42 @@ def test_workers_are_capped_at_cpu_count(monkeypatch, cpus, pools):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, worker, tasks, chunksize=1):
+        def imap(self, worker, tasks):
             return map(worker, tasks)
 
-    monkeypatch.setattr(cli, "multiprocessing", SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(cli, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+    return started
+
+
+def range_rows(task):
+    """A batch worker's shape: one row per run of the task's index range."""
+    start, stop, seed, _ = task
+    return [(index, seed) for index in range(start, stop)]
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (16, [10]), (1, []), (None, [])])
+def test_workers_are_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, pools):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    results = cli._fan_out(lambda task: task[:2], {"seed": 5, "runs": 10, "workers": 64})
-    assert started == pools
+    results = cli._fan_out(range_rows, {"seed": 5, "runs": 10, "workers": 64})
+    assert pool_sizes == pools
     assert results == [(i, 5) for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "runs, workers, size",
+    [(1000, 2, 62), (5000, 2, 64), (53, 2, 3), (53, 1, 6), (50, 64, 3), (3, 2, 1)],
+)
+def test_fan_out_hands_out_contiguous_capped_ranges(monkeypatch, pool_sizes, runs, workers, size):
+    # On 2 CPUs a range holds runs // (workers * 8) runs, at least 1 and at
+    # most 64, and the rows come back in run order.
+    tasks = []
+
+    def worker(task):
+        tasks.append(task[:3])
+        return range_rows(task)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    results = cli._fan_out(worker, {"seed": 5, "runs": runs, "workers": workers})
+    assert tasks == [(start, min(start + size, runs), 5) for start in range(0, runs, size)]
+    assert results == [(i, 5) for i in range(runs)]
+    assert pool_sizes == ([] if workers == 1 else [2])

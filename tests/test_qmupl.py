@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,11 +215,10 @@ def test_implied_increments_are_close_to_normal():
     # rejection, correct scale, and no sizeable lag-1 correlation.
     p_values = []
     lag1 = []
-    for seed in range(100):
-        trajectory = simulate_forward(CONFIG, PrngStream(7000 + seed))
-        back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], CONFIG)
-        p_values.append(normality_test(back.dB, CONFIG.dt).p_value)
-        centred = back.dB - back.dB.mean()
+    back = reverse_batch([simulate_forward(CONFIG, PrngStream(7000 + seed)) for seed in range(100)])
+    for increments in back.dB:
+        p_values.append(normality_test(increments, CONFIG.dt).p_value)
+        centred = increments - increments.mean()
         lag1.append((centred[:-1] * centred[1:]).mean() / centred.var())
     p_values = np.array(p_values)
     assert (p_values < 0.01).mean() <= 0.05
@@ -226,9 +226,29 @@ def test_implied_increments_are_close_to_normal():
     assert -0.02 < np.mean(lag1) < 0.005
 
 
+def reverse_batch(trajectories, config=CONFIG, flip=True):
+    """One back-solve of forward runs, anchored at each run's end point.
+
+    ``flip=False`` passes ``-p_n``, so the back-solve anchors at ``+p_n``.
+    """
+    sign = 1.0 if flip else -1.0
+    return reverse_trajectory(
+        np.array([t.z for t in trajectories]),
+        np.array([t.x[-1] for t in trajectories]),
+        np.array([sign * t.p[-1] for t in trajectories]),
+        config,
+    )
+
+
 def test_reverse_trajectory_validates_centre_shape():
     with pytest.raises(DimensionError):
         reverse_trajectory(np.zeros(999), 0.0, 0.0, CONFIG)
+    with pytest.raises(DimensionError):
+        reverse_trajectory(np.zeros((2, 2, 1000)), np.zeros((2, 2)), np.zeros((2, 2)), CONFIG)
+    with pytest.raises(DimensionError, match=r"end points must have shape \(3,\), got \(2,\) and \(3,\)"):
+        reverse_trajectory(np.zeros((3, 1000)), np.zeros(2), np.zeros(3), CONFIG)
+    with pytest.raises(DimensionError, match=r"end points must have shape \(\), got \(\) and \(1,\)"):
+        reverse_trajectory(np.zeros(1000), 0.0, np.zeros(1), CONFIG)
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +266,11 @@ def impulse_covariance(config):
     With x0 = p0 = 0 the map dB -> dB' is linear, so column k of its matrix
     is the back-solve of the forward run driven by a unit impulse at step k.
     """
-    n = config.n
-    columns = np.empty((n, n))
-    for k in range(n):
-        impulse = np.zeros(n)
-        impulse[k] = 1.0
-        trajectory = simulate_forward(config, PrngStream(0), increments=impulse)
-        back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
-        columns[:, k] = back.dB
+    forward = [
+        simulate_forward(config, PrngStream(0), increments=impulse)
+        for impulse in np.eye(config.n)
+    ]
+    columns = reverse_batch(forward, config).dB.T
     return columns @ columns.T
 
 
@@ -330,19 +347,19 @@ def control_runs():
     return [simulate_forward(CONFIG, PrngStream(7000 + seed)) for seed in range(300)]
 
 
-def projected_check(trajectories, back_solve):
+def projected_check(trajectories, back):
     """Criterion 6's check at a smaller batch.
 
+    ``back`` is the back-solve of all ``trajectories``, one run per row.
     Returns the 20-bin uniformity p-value of the per-run projected KS
     p-values and the fraction of runs whose pinned combinations miss their
     values; the check passes when the first exceeds 0.01 and the second is 0.
     """
     p_values = []
     missed = 0
-    for trajectory in trajectories:
-        back = back_solve(trajectory)
+    for trajectory, increments in zip(trajectories, back.dB):
         report = projected_normality_test(
-            back.dB, trajectory.x[-1], trajectory.p[-1], CONFIG
+            increments, trajectory.x[-1], trajectory.p[-1], CONFIG
         )
         p_values.append(report.free.p_value)
         missed += report.pinned_gap > PINNED_TOLERANCE
@@ -351,20 +368,14 @@ def projected_check(trajectories, back_solve):
 
 
 def test_projected_check_passes_the_lawful_back_solve(control_runs):
-    uniformity, missed = projected_check(
-        control_runs,
-        lambda t: reverse_trajectory(t.z, t.x[-1], t.p[-1], CONFIG),
-    )
+    uniformity, missed = projected_check(control_runs, reverse_batch(control_runs))
     assert uniformity > 0.01
     assert missed == 0.0
 
 
 def test_projected_check_rejects_coupling_ten_percent_high(control_runs):
     wrong = dataclasses.replace(CONFIG, g=1.1 * CONFIG.g)
-    uniformity, missed = projected_check(
-        control_runs,
-        lambda t: reverse_trajectory(t.z, t.x[-1], t.p[-1], wrong),
-    )
+    uniformity, missed = projected_check(control_runs, reverse_batch(control_runs, wrong))
     assert uniformity < 1e-6
     assert missed > 0.9
 
@@ -373,10 +384,7 @@ def test_projected_check_rejects_anchor_without_momentum_flip(control_runs):
     # reverse_trajectory flips the momentum itself, so passing -p_n anchors
     # the back-solve at +p_n.  The anchor's imprint lies in the pinned plane,
     # where the free coordinates cannot see it; the pinned combinations do.
-    _, missed = projected_check(
-        control_runs,
-        lambda t: reverse_trajectory(t.z, t.x[-1], -t.p[-1], CONFIG),
-    )
+    _, missed = projected_check(control_runs, reverse_batch(control_runs, flip=False))
     assert missed == 1.0
 
 
@@ -479,12 +487,16 @@ def random_configs(n, count, seed):
         )
 
 
+# The largest float: one step up from this anchor overflows the position.
+HUGE = np.finfo(float).max
+
+
 def assert_same_bytes(fast, slow):
     assert fast.dtype == slow.dtype and fast.shape == slow.shape
     assert fast.tobytes() == slow.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+@pytest.mark.parametrize("n", [1, 2, 7, 10, 1000])
 def test_float_recursions_match_element_loops(n):
     for index, config in enumerate(random_configs(n, 6, seed=n)):
         # Sampled path, against the slow loop fed by the scalar generator.
@@ -502,12 +514,54 @@ def test_float_recursions_match_element_loops(n):
         for fast_array, slow_array in zip((replay.x, replay.p, replay.z, replay.dB), slow):
             assert_same_bytes(fast_array, slow_array)
 
+        # Increments near the float limit overflow the running sums to inf
+        # and then NaN (from n = 7 on here); both round as the loop does.
+        with np.errstate(over="ignore"):
+            wild = increments * 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflow = simulate_forward(config, PrngStream(0), increments=wild)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slow = slow_simulate_forward(config, None, increments=wild)
+        for fast_array, slow_array in zip(
+            (overflow.x, overflow.p, overflow.z, overflow.dB), slow
+        ):
+            assert_same_bytes(fast_array, slow_array)
+        assert n < 7 or (np.isnan(overflow.x).any() and np.isnan(overflow.p).any())
+
         # Back-solve from the forward end point and from an arbitrary one.
         for x_n, p_n in ((trajectory.x[-1], trajectory.p[-1]), (0.3 * index - 1.0, -2.5)):
             back = reverse_trajectory(trajectory.z, x_n, p_n, config)
             slow = slow_reverse_trajectory(trajectory.z, x_n, p_n, config)
             for fast_array, slow_array in zip((back.x, back.p, back.dB), slow):
                 assert_same_bytes(fast_array, slow_array)
+
+        # The same back-solves as one call over index + 1 runs (one run for
+        # the first config).  Every row must equal its one-run call and the
+        # element loop byte for byte, also the last row of a batch, whose
+        # anchor overflows the recursion to inf and then NaN, quietly.
+        runs = index + 1
+        records = np.array([(trajectory.z, replay.z)[r % 2] for r in range(runs)])
+        x_ends = np.array([trajectory.x[-1]] + [0.3 * r - 1.0 for r in range(1, runs)])
+        p_ends = np.array([trajectory.p[-1]] + [2.5 - r for r in range(1, runs)])
+        if runs > 1:
+            x_ends[-1], p_ends[-1] = HUGE, -HUGE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = reverse_trajectory(records, x_ends, p_ends, config)
+        assert_same_bytes(batch.z, records)
+        for r in range(runs):
+            single = reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
+            with np.errstate(over="ignore", invalid="ignore"):
+                slow = slow_reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
+            for batch_array, single_array, slow_array in zip(
+                (batch.x, batch.p, batch.dB), (single.x, single.p, single.dB), slow
+            ):
+                assert_same_bytes(batch_array[r], single_array)
+                assert_same_bytes(batch_array[r], slow_array)
+        if runs > 1:
+            assert not np.isfinite(batch.x[-1, -2])
+            assert np.isnan(batch.x[-1, :-2]).all()
 
         # KS test of the back-solved increments at scale sqrt(dt).
         scale = 1.0 / math.sqrt(config.dt)

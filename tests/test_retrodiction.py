@@ -6,6 +6,7 @@ reversible chains built by column-normalizing a symmetric weight matrix.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from collapsim.retrodiction import (
     Distribution,
     MarkovModel,
     SelectionSpec,
+    _reaches_one_state_from_all,
     equilibrium_retrodiction,
     evolve,
     load_kernel,
@@ -166,6 +168,46 @@ def test_stationary_rejects_identity_and_period_two():
     two_classes = np.kron(np.eye(2), np.full((2, 2), 0.5))
     with pytest.raises(NoUniqueEquilibriumError):
         stationary(MarkovModel(("a", "b", "c", "d"), two_classes))
+
+
+def test_stationary_rejects_two_closed_classes_from_the_support():
+    # 300 states in two closed classes of 150: the support shows it at
+    # once, where 64 squarings of the kernel took about a second.
+    rng = np.random.default_rng(3)
+    kernel = np.zeros((300, 300))
+    for block in (slice(0, 150), slice(150, 300)):
+        weights = rng.uniform(size=(150, 150))
+        kernel[block, block] = weights / weights.sum(axis=0)
+    model = MarkovModel(tuple(f"s{i}" for i in range(300)), kernel)
+    started = time.perf_counter()
+    with pytest.raises(NoUniqueEquilibriumError, match="more than one closed class"):
+        stationary(model)
+    assert time.perf_counter() - started < 0.25
+
+
+@pytest.mark.parametrize(
+    "kernel, unique",
+    [
+        (np.array([[1.0]]), True),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), False),  # period 2
+        (np.array([[0.5, 1.0], [0.5, 0.0]]), True),  # a self-loop breaks the period
+        (np.roll(np.eye(4), 1, axis=0), False),  # period 4
+        # 0 -> 1 -> 2 -> 3 -> 0 with the chord 3 -> 1: cycles of 4 and 3 steps.
+        (np.array([[0, 0, 0, 0.5], [1, 0, 0, 0.5], [0, 1, 0, 0], [0, 0, 1, 0]]), True),
+        (np.kron(np.eye(2), np.full((2, 2), 0.5)), False),  # two closed classes
+        (np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5]]), True),  # transient a
+        (np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 1.0]]), False),  # b leaks to two
+    ],
+)
+def test_support_check_finds_one_aperiodic_closed_class(kernel, unique):
+    assert _reaches_one_state_from_all(kernel) is unique
+    model = MarkovModel(tuple(f"s{i}" for i in range(len(kernel))), kernel)
+    if unique:
+        assert np.abs(evolve(model, stationary(model)).probabilities
+                      - stationary(model).probabilities).max() < 1e-12
+    else:
+        with pytest.raises(NoUniqueEquilibriumError, match="more than one closed class"):
+            stationary(model)
 
 
 def slow_cycle(n, step):

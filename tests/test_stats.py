@@ -188,6 +188,42 @@ def test_block_draws_match_scalar_oracle_where_the_counter_wraps(start, zero_at)
     assert (block.index(0) + 1 if 0 in block else None) == zero_at
 
 
+class CountingOracle(ScalarSplitMix64):
+    """The scalar generator, counting the outputs it has served."""
+
+    served = 0
+
+    def next_u64(self):
+        self.served += 1
+        return super().next_u64()
+
+
+# Call cycles in which the block generator hands whole unserved normal pairs
+# back to a later uniform or u64 call, keeping a waiting second normal.
+REFUND_CYCLES = {
+    "uniform-after-one-normal": ("gaussian", "uniform"),
+    "uniform-after-three-normals": ("gaussian", "gaussian", "gaussian", "uniform"),
+    "u64s-after-two-normals": ("gaussian", "gaussian", "next_u64", "next_u64", "next_u64"),
+    "normals-only": ("gaussian",),
+}
+
+
+@pytest.mark.parametrize("lead", [0, 1, 255])
+@pytest.mark.parametrize("cycle", REFUND_CYCLES.values(), ids=REFUND_CYCLES)
+def test_refunded_normal_pairs_match_scalar_oracle(cycle, lead):
+    # After a lead of 1 or 255 outputs one output of the block is left, so
+    # a normal block starts from that odd remainder and the next block's
+    # first output.  Each case serves outputs across three block edges.
+    stream, oracle = PrngStream(8, stream_id=2), CountingOracle(8, stream_id=2)
+    assert [stream.next_u64() for _ in range(lead)] == [oracle.next_u64() for _ in range(lead)]
+    calls = 1600
+    draws = [getattr(stream, cycle[i % len(cycle)])() for i in range(calls)]
+    assert draws == [getattr(oracle, cycle[i % len(cycle)])() for i in range(calls)]
+    assert oracle.served >= 3 * 256 + lead
+    # Whatever is still unserved comes out in order after the cycle.
+    assert draw_mixed(stream, 300) == draw_mixed(oracle, 300)
+
+
 def test_split_before_and_after_draws_matches_scalar_oracle():
     parent, oracle = PrngStream(2026, stream_id=9), ScalarSplitMix64(2026, stream_id=9)
     before = parent.split(17)
