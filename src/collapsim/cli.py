@@ -273,12 +273,6 @@ def _require_finite(what: str, *series: np.ndarray) -> None:
         raise ConfigError(f"{what} is not finite at step {min(bad)}: the parameters overflow")
 
 
-def _qmupl_reversal(config: QmuplConfig, stream: PrngStream) -> tuple:
-    """A forward trajectory and its back-solve from the final state."""
-    trajectory = simulate_forward(config, stream)
-    return trajectory, reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
-
-
 def _qmupl_range_reversal(task) -> tuple:
     """Back-solves of the batch runs ``start .. stop - 1`` of a range task.
 
@@ -302,7 +296,8 @@ def _qmupl_range_reversal(task) -> tuple:
 
 def run_qmupl_run(params: dict) -> list:
     config = _qmupl_config(params)
-    trajectory, back = _qmupl_reversal(config, PrngStream(params["seed"]))
+    trajectory = simulate_forward(config, PrngStream(params["seed"]))
+    back = reverse_trajectory(trajectory.z, trajectory.x[-1], trajectory.p[-1], config)
     _require_finite("wave-packet trajectory", trajectory.x, trajectory.p, trajectory.z)
     _require_finite("back-solved trajectory", back.x, back.p, back.dB)
     n, dt = config.n, config.dt

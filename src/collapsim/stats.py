@@ -5,18 +5,19 @@ reproducible across platforms: the PRNG is exact 64-bit integer arithmetic,
 and the special functions use only the standard library's ``math``.
 
 Random numbers come from :class:`PrngStream`, a counter-based SplitMix64
-generator.  The state advances by the fixed odd increment ``GAMMA`` and each
-output is the SplitMix64 finalizer of the counter, which makes streams cheap
-to fork: a (seed, stream id) pair fully determines the sequence, and
-:meth:`PrngStream.split` derives child streams without touching the parent's
-position.  Numpy computes the outputs a block of counters at a time, in
-``uint64`` arithmetic that wraps mod 2^64 as the scalar ``_mix64`` masks, so
-the draws are bit-identical to the scalar generator's.  Gaussian draws come
-from one Box-Muller transform of all pending output pairs: numpy does the
-steps that IEEE arithmetic rounds alike everywhere (``1 - u``, ``-2 *``,
-``sqrt``, ``2 pi *`` and the products), while ``log``, ``cos`` and ``sin``
-stay on ``math`` per element, because numpy's SIMD versions differ from it
-by an ulp on some inputs and vary by CPU.
+generator.  Output ``k`` of a stream is the SplitMix64 finalizer of the
+counter ``origin + (k + 1) * GAMMA``, so a stream is one position and a
+block of draws is a pure function of (seed, stream id, position):
+:meth:`PrngStream.split` derives child streams without touching the
+parent's position.  :meth:`PrngStream.next_u64` computes one output from
+its counter; uniform and Gaussian draws are computed a block of counters at
+a time, in numpy ``uint64`` arithmetic that wraps mod 2^64 as the scalar
+``_mix64`` masks, so they are bit-identical to the scalar generator's.
+Gaussian draws come from one Box-Muller transform of a block of output
+pairs: numpy does the steps that IEEE arithmetic rounds alike everywhere
+(``1 - u``, ``-2 *``, ``sqrt``, ``2 pi *`` and the products), while ``log``,
+``cos`` and ``sin`` stay on ``math`` per element, because numpy's SIMD
+versions differ from it by an ulp on some inputs and vary by CPU.
 
 The hypothesis-testing helpers (`chi_squared_sf`, `ks_test`,
 `standard_normal_cdf`) return plain floats or a :class:`TestReport` and are
@@ -57,11 +58,12 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# Draws per block, and the counter offsets k * GAMMA (k = 1.._BLOCK) of a
-# block from the state it starts at; uint64 array arithmetic wraps mod 2^64.
-_BLOCK = 256
+# Outputs per cached block, and the counter offsets k * GAMMA (k = 1.._BLOCK)
+# of a block from the counter it starts after; uint64 arithmetic wraps mod 2^64.
+# At 256 outputs the numpy calls of a Box-Muller block made a Gaussian draw
+# about 10% dearer; 512 pays them half as often.
+_BLOCK = 512
 _BLOCK_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
-_BLOCK_ADVANCE = (_BLOCK * GAMMA) & _MASK64
 
 
 def _mix64_block(z: np.ndarray) -> np.ndarray:
@@ -74,15 +76,13 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _box_muller(u64s: np.ndarray) -> list[float]:
-    """Standard normals of the consecutive output pairs in ``u64s``, last first for popping.
+def _box_muller(uniforms: np.ndarray) -> list[float]:
+    """Standard normals of the consecutive uniform pairs in ``uniforms``, in order.
 
     Pair ``(a, b)`` gives ``r cos(t)`` and then ``r sin(t)``, with
-    ``r = sqrt(-2 log(1 - u(a)))`` and ``t = 2 pi u(b)`` for the 53-bit
-    uniform ``u`` of :meth:`PrngStream.uniform`; ``1 - u`` lies in (0, 1],
+    ``r = sqrt(-2 log(1 - a))`` and ``t = 2 pi b``; ``1 - a`` lies in (0, 1],
     keeping the logarithm finite.  Each step rounds as the scalar one does.
     """
-    uniforms = (u64s >> np.uint64(11)).astype(float) * _TWO_NEG_53
     pairs = uniforms.size // 2
     logs = np.fromiter(map(math.log, (1.0 - uniforms[0::2]).tolist()), dtype=float, count=pairs)
     radius = np.sqrt(-2.0 * logs)
@@ -90,7 +90,7 @@ def _box_muller(u64s: np.ndarray) -> list[float]:
     normals = np.empty(uniforms.size)
     normals[0::2] = radius * np.fromiter(map(math.cos, angles), dtype=float, count=pairs)
     normals[1::2] = radius * np.fromiter(map(math.sin, angles), dtype=float, count=pairs)
-    return normals[::-1].tolist()
+    return normals.tolist()
 
 
 class PrngStream:
@@ -100,24 +100,31 @@ class PrngStream:
     yield identical draw sequences on every platform; distinct stream ids
     give statistically independent sequences.  Splitting is a pure function
     of the identifiers, so it can be done before, after, or without drawing.
-    Any mix of calls draws what a generator serving one counter at a time
-    would: a Gaussian pair takes two consecutive outputs, and its second
-    normal waits for the next :meth:`gaussian` call.
+
+    The stream's state is its position, the number of outputs drawn, plus
+    the waiting second normal of its last Gaussian pair.  Output ``k`` is the
+    finalizer of ``_state + (k + 1) * GAMMA``, so any mix of calls draws what
+    a generator serving one counter at a time would: a Gaussian pair takes
+    the next two outputs, and its second normal waits for the next
+    :meth:`gaussian` call.  Uniforms and normals are computed ``_BLOCK`` at a
+    time into two caches, each keyed by the position it starts at; a call
+    whose position falls outside a cache recomputes it from there.
     """
 
-    __slots__ = ("seed", "stream_id", "_state", "_block", "_normals", "_normal_u64s")
+    __slots__ = ("seed", "stream_id", "_state", "_position", "_spare",
+                 "_uniforms_start", "_uniforms", "_normals_start", "_normals")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        # _state is the counter the next block starts from; _block holds
-        # the current block's unserved outputs, the next one last.  _normals
-        # holds the unserved normals, the next one last, and _normal_u64s
-        # the outputs they were transformed from, in counter order.
         self._state = _mix64(self.seed ^ _mix64(self.stream_id * _STREAM_SALT + 1))
-        self._block: list[int] = []
+        self._position = 0
+        self._spare: float | None = None
+        # Each cache holds the _BLOCK values from its start; a fresh
+        # stream's caches end at position 0.
+        self._uniforms_start = self._normals_start = -_BLOCK
+        self._uniforms: list[float] = []
         self._normals: list[float] = []
-        self._normal_u64s: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrngStream(seed={self.seed:#x}, stream_id={self.stream_id:#x})"
@@ -130,60 +137,47 @@ class PrngStream:
         """
         return PrngStream(self.seed, _mix64(self.stream_id ^ _mix64((child_id & _MASK64) + GAMMA)))
 
-    def _next_block(self) -> np.ndarray:
-        """The next ``_BLOCK`` outputs in counter order; the state moves past them."""
-        counters = _BLOCK_OFFSETS + np.uint64(self._state)
-        self._state = (self._state + _BLOCK_ADVANCE) & _MASK64
-        return _mix64_block(counters)
-
-    def _refund_normals(self) -> None:
-        """Return the outputs of the normal pairs no :meth:`gaussian` call has begun.
-
-        They go back in front of the pending outputs; a waiting second normal
-        stays.
-        """
-        whole = len(self._normals) & ~1
-        if whole:
-            self._block.extend(self._normal_u64s[: -whole - 1 : -1].tolist())
-            del self._normals[:whole]
+    def _block_uniforms(self) -> np.ndarray:
+        """The :meth:`uniform` values of the ``_BLOCK`` outputs from the position on."""
+        start = np.uint64((self._state + self._position * GAMMA) & _MASK64)
+        return (_mix64_block(_BLOCK_OFFSETS + start) >> 11) * _TWO_NEG_53
 
     def next_u64(self) -> int:
-        """Finalizer of the stream's next counter.
-
-        Outputs are computed ``_BLOCK`` counters at a time and served in
-        counter order.
-        """
-        if self._normals:
-            self._refund_normals()
-        if not self._block:
-            self._block = self._next_block()[::-1].tolist()
-        return self._block.pop()
+        """The output at the stream's position, which moves past it."""
+        self._position += 1
+        return _mix64(self._state + self._position * GAMMA)
 
     def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _TWO_NEG_53
+        """Uniform draw in [0, 1): the top 53 bits of the next output."""
+        position = self._position
+        k = position - self._uniforms_start
+        if k >= _BLOCK:
+            self._uniforms = self._block_uniforms().tolist()
+            self._uniforms_start, k = position, 0
+        self._position = position + 1
+        return self._uniforms[k]
 
     def gaussian(self) -> float:
         """Standard normal draw via the Box-Muller transform.
 
-        One transform serves the whole pairs of pending outputs, or a fresh
-        block when fewer than two are pending; a single leftover output opens
-        the fresh block's first pair.
+        Returns the waiting second normal if there is one; otherwise the
+        first normal of the pair at the stream's position, whose second one
+        then waits.  The normals cache serves pairs an even distance from
+        its start.
         """
-        if not self._normals:
-            block = self._block
-            if len(block) >= 2:
-                taken = len(block) & ~1
-                u64s = np.array(block[: -taken - 1 : -1], dtype=np.uint64)
-                del block[-taken:]
-            else:
-                u64s = self._next_block()
-                if block:
-                    self._block = u64s[-1:].tolist()
-                    u64s = np.concatenate((np.array(block, dtype=np.uint64), u64s[:-1]))
-            self._normal_u64s = u64s
-            self._normals = _box_muller(u64s)
-        return self._normals.pop()
+        spare = self._spare
+        if spare is not None:
+            self._spare = None
+            return spare
+        position = self._position
+        k = position - self._normals_start
+        if k >= _BLOCK or k & 1:
+            self._normals = _box_muller(self._block_uniforms())
+            self._normals_start, k = position, 0
+        self._position = position + 2
+        normals = self._normals
+        self._spare = normals[k + 1]
+        return normals[k]
 
 
 # ======================================================================

@@ -19,7 +19,9 @@ from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
 from collapsim.output import read_pgm, write_csv, write_pgm
 from collapsim.retrodiction import load_kernel
 
-from artifact_digests import SMALL_RUNS
+from artifact_digests import SMALL_RUNS, digest_lines
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -581,6 +583,25 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert run_cli(*BATCH_ARGS, "--out", first) == 0
     assert run_cli(*BATCH_ARGS, "--out", second) == 0
     assert artifact_bytes(first) == artifact_bytes(second)
+
+
+def test_prng_driven_artifacts_match_golden_digests(tmp_path):
+    """``qmupl-run``, ``qmupl-batch`` and ``energy-demo`` keep every byte.
+
+    These three experiments are functions of the PRNG's draws and call no
+    BLAS, so ``golden/artifact_digests.json`` holds their digests from
+    ``scripts/artifact_digests.py 1 123`` on any host.  The lattice and
+    Markov artifacts are left out, because their bytes depend on the host's
+    OpenBLAS kernel.  A change that declares a byte change to these
+    experiments regenerates the file from the script's lines for them.
+    """
+    golden = json.loads((GOLDEN / "artifact_digests.json").read_text())
+    digests = {}
+    for line in digest_lines(["1", "123"], tmp_path):
+        digest, path = line.split("  ")
+        if path.split("/")[1] in ("qmupl-run", "qmupl-batch", "energy-demo"):
+            digests[path] = digest
+    assert digests == golden
 
 
 # 53 runs split into ranges of 53 // (workers * 8) runs, so the last range

@@ -8,6 +8,7 @@ import scipy.stats
 
 from collapsim.errors import DegenerateTestError
 from collapsim.stats import (
+    _BLOCK,
     GAMMA,
     PrngStream,
     chi_squared_sf,
@@ -198,29 +199,33 @@ class CountingOracle(ScalarSplitMix64):
         return super().next_u64()
 
 
-# Call cycles in which the block generator hands whole unserved normal pairs
-# back to a later uniform or u64 call, keeping a waiting second normal.
-REFUND_CYCLES = {
+# Call mixes that start Gaussian pairs at even and odd distances from the
+# start of a cached block, and draw uniforms or u64s between the two normals
+# of a pair.
+CALL_MIXES = {
     "uniform-after-one-normal": ("gaussian", "uniform"),
     "uniform-after-three-normals": ("gaussian", "gaussian", "gaussian", "uniform"),
     "u64s-after-two-normals": ("gaussian", "gaussian", "next_u64", "next_u64", "next_u64"),
     "normals-only": ("gaussian",),
+    "two-normals-after-one-uniform": ("uniform", "gaussian", "gaussian"),
+    "three-normals-after-one-u64": ("next_u64", "gaussian", "gaussian", "gaussian"),
 }
 
 
 @pytest.mark.parametrize("lead", [0, 1, 255])
-@pytest.mark.parametrize("cycle", REFUND_CYCLES.values(), ids=REFUND_CYCLES)
-def test_refunded_normal_pairs_match_scalar_oracle(cycle, lead):
-    # After a lead of 1 or 255 outputs one output of the block is left, so
-    # a normal block starts from that odd remainder and the next block's
-    # first output.  Each case serves outputs across three block edges.
+@pytest.mark.parametrize("cycle", CALL_MIXES.values(), ids=CALL_MIXES)
+def test_call_mixes_match_scalar_oracle(cycle, lead):
+    # The lead of u64 outputs moves the position the mix starts at.  The last
+    # two mixes draw an odd number of outputs per cycle, which puts their
+    # pairs an odd distance from the start of the normals cache.  Each case
+    # serves outputs across three block edges.
     stream, oracle = PrngStream(8, stream_id=2), CountingOracle(8, stream_id=2)
     assert [stream.next_u64() for _ in range(lead)] == [oracle.next_u64() for _ in range(lead)]
-    calls = 1600
+    calls = 2000
     draws = [getattr(stream, cycle[i % len(cycle)])() for i in range(calls)]
     assert draws == [getattr(oracle, cycle[i % len(cycle)])() for i in range(calls)]
-    assert oracle.served >= 3 * 256 + lead
-    # Whatever is still unserved comes out in order after the cycle.
+    assert oracle.served >= 3 * _BLOCK + lead
+    # The stream goes on from the same position and waiting normal.
     assert draw_mixed(stream, 300) == draw_mixed(oracle, 300)
 
 
