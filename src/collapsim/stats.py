@@ -10,14 +10,12 @@ counter ``origin + (k + 1) * GAMMA``, so a stream is one position and a
 block of draws is a pure function of (seed, stream id, position):
 :meth:`PrngStream.split` derives child streams without touching the
 parent's position.  :meth:`PrngStream.next_u64` computes one output from
-its counter; uniform and Gaussian draws are computed a block of counters at
-a time, in numpy ``uint64`` arithmetic that wraps mod 2^64 as the scalar
-``_mix64`` masks, so they are bit-identical to the scalar generator's.
-Gaussian draws come from one Box-Muller transform of a block of output
-pairs: numpy does the steps that IEEE arithmetic rounds alike everywhere
-(``1 - u``, ``-2 *``, ``sqrt``, ``2 pi *`` and the products), while ``log``,
-``cos`` and ``sin`` stay on ``math`` per element, because numpy's SIMD
-versions differ from it by an ulp on some inputs and vary by CPU.
+its counter; uniform draws are computed a block of counters at a time, in
+numpy ``uint64`` arithmetic that wraps mod 2^64 as the scalar ``_mix64``
+masks, so they are bit-identical to the scalar generator's.  A Gaussian
+pair is the Box-Muller transform of the next two uniforms, computed per
+pair on ``math``: numpy's SIMD ``log``, ``cos`` and ``sin`` differ from it
+by an ulp on some inputs and vary by CPU.
 
 The hypothesis-testing helpers (`chi_squared_sf`, `ks_test`,
 `standard_normal_cdf`) return plain floats or a :class:`TestReport` and are
@@ -60,8 +58,9 @@ def _mix64(z: int) -> int:
 
 # Outputs per cached block, and the counter offsets k * GAMMA (k = 1.._BLOCK)
 # of a block from the counter it starts after; uint64 arithmetic wraps mod 2^64.
-# At 256 outputs the numpy calls of a Box-Muller block made a Gaussian draw
-# about 10% dearer; 512 pays them half as often.
+# In alternating timings on a 2-vCPU host, 1000 normals from a fresh stream
+# cost least at 512 (304 ns each, against 328 at 256 and 352 at 1024), and a
+# steady uniform() cost the same at all three.
 _BLOCK = 512
 _BLOCK_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 
@@ -76,23 +75,6 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _box_muller(uniforms: np.ndarray) -> list[float]:
-    """Standard normals of the consecutive uniform pairs in ``uniforms``, in order.
-
-    Pair ``(a, b)`` gives ``r cos(t)`` and then ``r sin(t)``, with
-    ``r = sqrt(-2 log(1 - a))`` and ``t = 2 pi b``; ``1 - a`` lies in (0, 1],
-    keeping the logarithm finite.  Each step rounds as the scalar one does.
-    """
-    pairs = uniforms.size // 2
-    logs = np.fromiter(map(math.log, (1.0 - uniforms[0::2]).tolist()), dtype=float, count=pairs)
-    radius = np.sqrt(-2.0 * logs)
-    angles = (_TWO_PI * uniforms[1::2]).tolist()
-    normals = np.empty(uniforms.size)
-    normals[0::2] = radius * np.fromiter(map(math.cos, angles), dtype=float, count=pairs)
-    normals[1::2] = radius * np.fromiter(map(math.sin, angles), dtype=float, count=pairs)
-    return normals.tolist()
-
-
 class PrngStream:
     """Counter-based SplitMix64 stream, seedable and splittable.
 
@@ -105,14 +87,14 @@ class PrngStream:
     the waiting second normal of its last Gaussian pair.  Output ``k`` is the
     finalizer of ``_state + (k + 1) * GAMMA``, so any mix of calls draws what
     a generator serving one counter at a time would: a Gaussian pair takes
-    the next two outputs, and its second normal waits for the next
-    :meth:`gaussian` call.  Uniforms and normals are computed ``_BLOCK`` at a
-    time into two caches, each keyed by the position it starts at; a call
-    whose position falls outside a cache recomputes it from there.
+    the next two uniforms, and its second normal waits for the next
+    :meth:`gaussian` call.  Uniforms are computed ``_BLOCK`` at a time into
+    one cache keyed by the position it starts at; a draw whose position
+    falls outside it recomputes it from there.
     """
 
     __slots__ = ("seed", "stream_id", "_state", "_position", "_spare",
-                 "_uniforms_start", "_uniforms", "_normals_start", "_normals")
+                 "_uniforms_start", "_uniforms")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
@@ -120,11 +102,9 @@ class PrngStream:
         self._state = _mix64(self.seed ^ _mix64(self.stream_id * _STREAM_SALT + 1))
         self._position = 0
         self._spare: float | None = None
-        # Each cache holds the _BLOCK values from its start; a fresh
-        # stream's caches end at position 0.
-        self._uniforms_start = self._normals_start = -_BLOCK
+        # The cache holds the _BLOCK uniforms from its start, at first ending at 0.
+        self._uniforms_start = -_BLOCK
         self._uniforms: list[float] = []
-        self._normals: list[float] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrngStream(seed={self.seed:#x}, stream_id={self.stream_id:#x})"
@@ -160,24 +140,19 @@ class PrngStream:
     def gaussian(self) -> float:
         """Standard normal draw via the Box-Muller transform.
 
-        Returns the waiting second normal if there is one; otherwise the
-        first normal of the pair at the stream's position, whose second one
-        then waits.  The normals cache serves pairs an even distance from
-        its start.
+        Returns the waiting second normal if there is one.  Otherwise the
+        next two uniforms ``a`` and ``b`` give ``r cos(t)``, returned, and
+        ``r sin(t)``, left waiting, with ``r = sqrt(-2 log(1 - a))`` and
+        ``t = 2 pi b``; ``1 - a`` lies in (0, 1], keeping the logarithm finite.
         """
         spare = self._spare
         if spare is not None:
             self._spare = None
             return spare
-        position = self._position
-        k = position - self._normals_start
-        if k >= _BLOCK or k & 1:
-            self._normals = _box_muller(self._block_uniforms())
-            self._normals_start, k = position, 0
-        self._position = position + 2
-        normals = self._normals
-        self._spare = normals[k + 1]
-        return normals[k]
+        radius = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
+        angle = _TWO_PI * self.uniform()
+        self._spare = radius * math.sin(angle)
+        return radius * math.cos(angle)
 
 
 # ======================================================================

@@ -214,17 +214,27 @@ CALL_MIXES = {
 
 @pytest.mark.parametrize("lead", [0, 1, 255])
 @pytest.mark.parametrize("cycle", CALL_MIXES.values(), ids=CALL_MIXES)
-def test_call_mixes_match_scalar_oracle(cycle, lead):
+def test_call_mixes_match_scalar_oracle(cycle, lead, monkeypatch):
     # The lead of u64 outputs moves the position the mix starts at.  The last
     # two mixes draw an odd number of outputs per cycle, which puts their
-    # pairs an odd distance from the start of the normals cache.  Each case
-    # serves outputs across three block edges.
+    # pairs an odd distance from the start of a cached block.  Each case
+    # serves outputs across three block edges, computing each block once.
+    blocks = 0
+    block_uniforms = PrngStream._block_uniforms
+
+    def counting_block_uniforms(self):
+        nonlocal blocks
+        blocks += 1
+        return block_uniforms(self)
+
+    monkeypatch.setattr(PrngStream, "_block_uniforms", counting_block_uniforms)
     stream, oracle = PrngStream(8, stream_id=2), CountingOracle(8, stream_id=2)
     assert [stream.next_u64() for _ in range(lead)] == [oracle.next_u64() for _ in range(lead)]
     calls = 2000
     draws = [getattr(stream, cycle[i % len(cycle)])() for i in range(calls)]
     assert draws == [getattr(oracle, cycle[i % len(cycle)])() for i in range(calls)]
     assert oracle.served >= 3 * _BLOCK + lead
+    assert blocks <= math.ceil(oracle.served / _BLOCK) + 1
     # The stream goes on from the same position and waiting normal.
     assert draw_mixed(stream, 300) == draw_mixed(oracle, 300)
 
