@@ -28,8 +28,9 @@ base seed, so any file can be regenerated exactly.  Repeated invocations
 with the same configuration and seed produce byte-identical outputs,
 including under --workers parallelism: run i of a batch draws from child
 stream i of the base seed, and the batch is handed out as contiguous ranges
-of run indices (qmupl-batch back-solves each range in one call) whose rows
-are collected in index order.
+of run indices whose rows are collected in index order.  Both batch
+experiments solve a range per call: lattice-batch makes one forward and one
+backward lattice pass over its runs, qmupl-batch one back-solve.
 
 Each runner is a function of the resolved parameters alone: it computes
 everything first, then returns its artifacts as (name, write, *args)
@@ -59,6 +60,7 @@ from . import __version__
 from .errors import CollapsimError, ConfigError, DegenerateTestError
 from .lattice import (
     LatticeConfig,
+    StochasticField,
     build_basis_state,
     conjugate,
     run_backward,
@@ -133,16 +135,10 @@ def _link_rows(record) -> list:
     return rows
 
 
-def _lattice_reversal(params: dict, stream: PrngStream) -> tuple:
-    """A forward pass and its backward replay from the conjugated final state."""
-    config = _lattice_config(params)
-    record, final = run_forward(config, _lattice_initial(params), stream)
-    back, _ = run_backward(config, record.field, conjugate(final))
-    return record, back
-
-
 def run_lattice_run(params: dict) -> list:
-    record, back = _lattice_reversal(params, PrngStream(params["seed"]))
+    config = _lattice_config(params)
+    record, final = run_forward(config, _lattice_initial(params), PrngStream(params["seed"]))
+    back, _ = run_backward(config, record.field, conjugate(final))
     try:
         report = reversal_chi_squared(record.field, back.probabilities)
         fields = ("statistic", "dof", "p_value", "events_total", "events_retained")
@@ -161,17 +157,28 @@ def run_lattice_run(params: dict) -> list:
 
 
 def _lattice_batch_worker(task) -> list[tuple]:
+    """The rows of a range: one forward and one backward pass over all its runs."""
     start, stop, seed, params = task
+    config = _lattice_config(params)
     root = PrngStream(seed)
+    streams = [root.split(index) for index in range(start, stop)]
+    record, finals = run_forward(config, _lattice_initial(params), streams)
+    back, _ = run_backward(config, record.field, [conjugate(final) for final in finals])
     rows = []
-    for index in range(start, stop):
-        record, back = _lattice_reversal(params, root.split(index))
+    for index, alpha, probabilities in zip(range(start, stop), record.field.alpha, back.probabilities):
         try:
-            report = reversal_chi_squared(record.field, back.probabilities)
+            report = reversal_chi_squared(StochasticField(alpha), probabilities)
             rows.append((index, report.statistic, report.dof, report.p_value))
         except DegenerateTestError:
             rows.append((index, None, None, None))
     return rows
+
+
+# A lattice range scatters its runs into one (runs, 2**n) array of dense
+# amplitudes for the norms.  2**18 of them, 4 MB, hold 64 runs at 12
+# columns and 4 at 16; at 16 columns a range of 16 runs, whose 16 MB of rows
+# each norm sweeps, passed slower than one run at a time.
+_lattice_batch_worker.range_cap = lambda params: (1 << 18) >> params["lattice_n"]
 
 
 def _qmupl_batch_worker(task) -> list[tuple]:
@@ -186,24 +193,27 @@ def _qmupl_batch_worker(task) -> list[tuple]:
     return rows
 
 
-# Most runs in one task.  A qmupl-batch range holds its record and
-# back-solve as (runs, n_steps) arrays, 0.5 MB each at 64 runs of the
-# default 1000 steps; they grow with n_steps.
-_MAX_RANGE = 64
+# A qmupl range holds its record and back-solve as (runs, n_steps) arrays:
+# 64 000 record values, 0.5 MB per array, are 64 runs of the default 1000
+# steps and 6 of 10 000.
+_qmupl_batch_worker.range_cap = lambda params: 64_000 // params["n_steps"]
 
 
 def _fan_out(worker, params: dict) -> list[tuple]:
     """Run the batch worker over all run indices, optionally in parallel.
 
     Each task ``(start, stop, seed, params)`` covers a contiguous range of
-    run indices, at most ``_MAX_RANGE`` of them, and the worker returns one
-    row per run.  Each run depends only on (base seed, run index), so the
-    rows are identical for any worker count; they are collected in index
-    order.  No more processes start than there are runs or CPUs.
+    run indices, and the worker returns one row per run.  A range holds
+    ``ceil(runs / workers)`` runs, so each worker gets about one, but no
+    more than ``worker.range_cap(params)``, the most its memory budget
+    allows, and at least one.  Each run depends only on (base seed, run
+    index), so the rows are identical for any worker count; they are
+    collected in index order.  No more processes start than there are runs
+    or CPUs.
     """
     runs = params["runs"]
     workers = min(params["workers"], runs, os.cpu_count() or 1)
-    size = max(1, min(runs // (workers * 8), _MAX_RANGE))
+    size = max(1, min(-(-runs // workers), worker.range_cap(params)))
     tasks = [
         (start, min(start + size, runs), params["seed"], params)
         for start in range(0, runs, size)

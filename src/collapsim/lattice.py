@@ -56,6 +56,16 @@ over the support alone adds in another order than the BLAS sum and moves
 the last bit of about three norms in ten.  States with two or more
 particles, like a Gaussian-random vector, run on reshaped views of the
 dense vector.
+
+Runs differ only in their draws, so :func:`run_forward` also takes a
+sequence of R streams, and :func:`run_backward` the R conjugated final
+states of such a batch; the records then carry a leading runs axis.  A
+batch of vacuum and one-particle runs is one pass over an ``(n + 1, R)``
+compact array, with numpy over runs: each run draws its uniforms one per
+link in event order from its own stream, and its norm is still one
+``np.vdot`` over its row of an ``(R, 2**n)`` dense array.  Every run's
+bytes are those of its one-run call, which is such a pass with R = 1.
+Other states pass one run per call, on the views.
 """
 
 from __future__ import annotations
@@ -136,25 +146,30 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class StochasticField:
-    """Realized binary field: one value per (time step, column) link crossing."""
+    """Realized binary field: one value per (time step, column) link crossing.
 
-    alpha: np.ndarray  # shape (steps, n_columns), entries 0 or 1
+    A batch of runs carries its fields on a leading runs axis.
+    """
+
+    alpha: np.ndarray  # shape ([runs,] steps, n_columns), entries 0 or 1
 
     def __post_init__(self):
         arr = np.asarray(self.alpha)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2 or arr.shape[1] % 2:
-            raise DimensionError(f"field must have shape (steps, n_columns), got {arr.shape}")
+        if arr.ndim not in (2, 3) or arr.shape[-2] < 1 or arr.shape[-1] < 2 or arr.shape[-1] % 2:
+            raise DimensionError(
+                f"field must have shape (steps, n_columns) or (runs, steps, n_columns), got {arr.shape}"
+            )
         if not np.isin(arr, (0, 1)).all():
             raise DimensionError("field values must be 0 or 1")
         object.__setattr__(self, "alpha", np.ascontiguousarray(arr, dtype=np.uint8))
 
     @property
     def steps(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-2]
 
     @property
     def n_columns(self) -> int:
-        return self.alpha.shape[1]
+        return self.alpha.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -387,83 +402,92 @@ class _ViewKernels:
 
 
 class _ParticleKernels:
-    """The pass's kernels on the ``n + 1`` amplitudes of the vacuum and one-particle states.
+    """The pass's kernels on the ``n + 1`` amplitudes of R vacuum or one-particle runs.
 
-    Entry ``k`` of the compact vector is basis state ``1 << k``, the particle
-    on column ``k + 1``, and the last entry is the vacuum.  A vertex mixes
-    the two entries of its columns, with the IEEE operations of
-    :func:`_vertex_inplace`, and an occupancy is the squared modulus of the
-    column's one entry, the only nonzero term of the view kernels' sums,
-    clamped to 1 as theirs is.  A jump scales the compact vector as the view
-    kernels scale the dense one, and the norm is their dense ``np.vdot`` over
-    the scattered amplitudes.  The two agree bit for bit.
+    Row ``k`` of the compact ``(n + 1, R)`` array holds, for every run, the
+    amplitude of basis state ``1 << k``, the particle on column ``k + 1``;
+    the last row is the vacuum.  A vertex mixes the two rows of its columns
+    with :func:`_vertex_inplace`, and an occupancy is the squared modulus of
+    the column's row, the only nonzero term of the view kernels' sums,
+    clamped to 1 as theirs is.  A jump scales each run's amplitudes by the
+    factors of its own ``alpha``, as the view kernels scale the dense vector;
+    the norm is their dense ``np.vdot``, one per run, over that run's row of
+    a ``(R, 2**n)`` array into which the compact amplitudes are scattered.
+    Each run agrees bit for bit with the view kernels.
     """
 
-    def __init__(self, config: LatticeConfig, amps: np.ndarray):
+    def __init__(self, config: LatticeConfig, starts: Sequence[np.ndarray]):
         n = config.n_columns
-        self.amps = amps
-        self.support = np.append(1 << np.arange(n), 0)
-        self.compact = amps[self.support]
-        # Off the support the state is zero.  Clearing it there to +0 drops
-        # the sign a conjugated start gives those zeros, as the first jump
-        # of the view kernels does.
-        amps.fill(0)
+        support = np.append(1 << np.arange(n), 0)
+        self.compact = np.stack([amps[support] for amps in starts], axis=1)
+        self.rows = list(self.compact)
+        self.parts = list(self.compact.view(np.float64))  # each row's (re, im) pairs
+        self.squares = np.empty(2 * len(starts))
+        # Off the support every state is zero.  A fresh +0 there drops the
+        # sign a conjugated start gives those zeros, as the first jump of
+        # the view kernels does.
+        self.dense = np.zeros((len(starts), 1 << n), dtype=np.complex128)
+        self.dense_rows = list(self.dense)
+        # Where each compact amplitude goes in the flattened dense array.
+        self.scatter = support[:, None] + np.arange(len(starts)) * (1 << n)
         self.diag, self.off = _vertex_constants(config.theta)
         scale, x_scale = _jump_constants(config.collapse_x)
-        # Complex factors, so the multiply needs no cast: (alpha = 0, alpha = 1).
+        # Complex factor columns, so the multiply needs no cast: (alpha = 0,
+        # alpha = 1).
         self.factors = [
-            (np.where(mask, x_scale, scale) + 0j, np.where(mask, scale, x_scale) + 0j)
+            (np.where(mask, x_scale, scale)[:, None] + 0j, np.where(mask, scale, x_scale)[:, None] + 0j)
             for mask in np.eye(n + 1, dtype=bool)[:n]
         ]
-        # The entries a vertex mixes: its columns' bits, higher first, as in
+        # The rows a vertex mixes: its columns' bits, higher first, as in
         # _vertex_blocks.
         self.pairs = [(max(p, (p + 1) % n), min(p, (p + 1) % n)) for p in range(n)]
 
     def apply_vertex(self, slot: int) -> None:
         upper, lower = self.pairs[slot]
-        compact, diag, off = self.compact, self.diag, self.off
-        a, b = compact.item(upper), compact.item(lower)
-        compact[upper] = diag * a + off * b
-        compact[lower] = off * a + diag * b
+        _vertex_inplace(self.rows[upper], self.rows[lower], self.diag, self.off)
 
-    def collapse(self, slot: int, alpha: int) -> None:
-        """Apply jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
-        self.compact *= self.factors[slot][alpha]
-        self.amps[self.support] = self.compact
-        self.compact *= _reciprocal_norm(self.amps)
+    def collapse(self, slot: int, alpha: np.ndarray) -> None:
+        """Apply each run's jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
+        self.compact *= np.where(alpha, self.factors[slot][1], self.factors[slot][0])
+        self.finish()
+        norms_squared = [np.vdot(row, row).real for row in self.dense_rows]
+        if not all(value > 0.0 for value in norms_squared):
+            raise InvalidStateError("state collapsed to zero norm")
+        # np.sqrt rounds correctly, as _reciprocal_norm's math.sqrt does.
+        self.compact *= 1.0 / np.sqrt(norms_squared)
 
-    def occupancy(self, slot: int) -> float:
-        z = self.compact.item(slot)
-        w = z.real * z.real + z.imag * z.imag
-        return w if w <= 1.0 else 1.0
+    def occupancy(self, slot: int) -> np.ndarray:
+        squares = np.square(self.parts[slot], out=self.squares)
+        weight = squares[0::2] + squares[1::2]
+        return np.minimum(weight, 1.0, out=weight)
 
     def finish(self) -> None:
-        self.amps[self.support] = self.compact
+        self.dense.ravel()[self.scatter] = self.compact
 
 
-def _kernels(config: LatticeConfig, amps: np.ndarray):
-    """Particle kernels for a vacuum or one-particle state, view kernels otherwise.
+def _in_particle_sectors(amps: np.ndarray) -> bool:
+    """Whether every nonzero amplitude sits at index 0 or at a power of two.
 
-    The particle kernels take a state whose nonzero amplitudes all sit at
-    index 0 or at a power of two.  The count comes first and needs no index
-    arrays, so a state with weight everywhere is turned away at its cost.
+    The count comes first and needs no index arrays, so a state with weight
+    everywhere is turned away at its cost.
     """
-    if np.count_nonzero(amps) <= config.n_columns + 1:
-        nonzero = np.flatnonzero(amps)
-        if not (nonzero & (nonzero - 1)).any():
-            return _ParticleKernels(config, amps)
-    return _ViewKernels(config, amps)
+    if np.count_nonzero(amps) > amps.size.bit_length():  # n + 1 of 2**n
+        return False
+    nonzero = np.flatnonzero(amps)
+    return not (nonzero & (nonzero - 1)).any()
 
 
-def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False):
-    """Walk a run's events with ``kernels``, in forward or reversed order.
+def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False, runs: tuple = ()):
+    """Walk the runs' events with ``kernels``, in forward or reversed order.
 
     Forward, each step sweeps its vertices left to right: the vertex, then
     its left link, then its right link.  At a link the Born weight of
     ``alpha = 1`` is evaluated, ``alpha_at(t, slot, p_one)`` gives the field
     value, the jump is applied and the state renormalized.  Returns the
-    per-link probabilities and the occupancies sampled after each jump; the
-    kernels' dense vector holds the final state.
+    field, the per-link probabilities and the occupancies sampled after each
+    jump, of shape ``(*runs, steps, n)``: ``runs`` is ``(R,)`` for the
+    particle kernels and ``()`` for the view kernels.  The kernels' dense
+    vectors hold the final states.
     """
     n = config.n_columns
     x = config.collapse_x
@@ -472,44 +496,97 @@ def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False):
         for k in range(1, config.n_vertices + 1):
             left, right = vertex_columns(t, k, config.n_vertices)
             events += ((t, left - 1, False), (t, left - 1, True), (t, right - 1, True))
-    probabilities = np.empty((config.steps, n))
-    occupancy = np.empty((config.steps, n))
+    shape = (*runs, config.steps, n)
+    field = np.empty(shape, dtype=np.uint8)
+    probabilities = np.empty(shape)
+    occupancy = np.empty(shape)
     for t, slot, is_link in reversed(events) if backward else events:
         if not is_link:
             kernels.apply_vertex(slot)
             continue
         p_one = _link_probability(kernels.occupancy(slot), x)
-        kernels.collapse(slot, alpha_at(t, slot, p_one))
-        probabilities[t, slot] = p_one
-        occupancy[t, slot] = kernels.occupancy(slot)
+        field[..., t, slot] = alpha = alpha_at(t, slot, p_one)
+        kernels.collapse(slot, alpha)
+        probabilities[..., t, slot] = p_one
+        occupancy[..., t, slot] = kernels.occupancy(slot)
     kernels.finish()
-    return probabilities, occupancy
+    return field, probabilities, occupancy
+
+
+def _particle_runs(config: LatticeConfig, starts: list, alpha_at, backward: bool = False):
+    """One pass of vacuum or one-particle ``starts`` together.
+
+    Returns the field, probabilities and occupancies by run and the list of
+    final states.
+    """
+    kernels = _ParticleKernels(config, starts)
+    arrays = _pass(config, kernels, alpha_at, backward, (len(starts),))
+    return (*arrays, [QuantumState(amps) for amps in kernels.dense_rows])
+
+
+def _view_run(config: LatticeConfig, start: np.ndarray, alpha_at, backward: bool = False):
+    """One pass of one ``start`` through view kernels on a copy of it."""
+    amps = start.copy()
+    arrays = _pass(config, _ViewKernels(config, amps), alpha_at, backward)
+    return (*arrays, QuantumState(amps))
+
+
+def _first_run(record: LatticeRunRecord, finals: list) -> tuple[LatticeRunRecord, QuantumState]:
+    """The one run of a one-run batch, without its runs axis."""
+    field = StochasticField(record.field.alpha[0])
+    return LatticeRunRecord(field, record.probabilities[0], record.occupancy[0]), finals[0]
+
+
+def _check_batch(runs: int, starts: list) -> None:
+    if not runs:
+        raise DimensionError("a batch of runs needs at least one run")
+    if not all(map(_in_particle_sectors, starts)):
+        raise InvalidStateError(
+            "a batch of runs starts in the vacuum and one-particle sectors; "
+            "pass other states one run at a time"
+        )
 
 
 def run_forward(
-    config: LatticeConfig, initial: QuantumState, rng: PrngStream
-) -> tuple[LatticeRunRecord, QuantumState]:
+    config: LatticeConfig, initial: QuantumState, rng: PrngStream | Sequence[PrngStream]
+) -> tuple[LatticeRunRecord, QuantumState | list[QuantumState]]:
     """Evolve ``initial`` forward, sampling the field link by link.
 
     One uniform draw per link decides ``alpha`` with the Born weight of
     ``alpha = 1``.  Returns the per-link record and the final state.
+
+    A sequence of R streams runs R independent runs from ``initial``, run
+    ``r`` drawing from stream ``r``, one uniform per link in event order.
+    The record's arrays then have shape ``(R, steps, n_columns)`` and the
+    final states come as a list; row ``r`` is bit for bit what stream ``r``
+    alone gives.  The runs pass together, with numpy over runs and one
+    ``np.vdot`` norm per run, so a batch must start in the vacuum and
+    one-particle sectors; a one-run call from there is such a batch of one.
     """
     _check_run_inputs(config, initial, "initial")
-    amps = initial.amplitudes.copy()
-    alpha_values = np.empty((config.steps, config.n_columns), dtype=np.uint8)
-
-    def draw(t: int, slot: int, p_one: float) -> int:
-        alpha_values[t, slot] = alpha = 1 if rng.uniform() < p_one else 0
-        return alpha
-
-    probabilities, occupancy = _pass(config, _kernels(config, amps), draw)
-    record = LatticeRunRecord(StochasticField(alpha_values), probabilities, occupancy)
-    return record, QuantumState(amps)
+    amps = initial.amplitudes
+    if isinstance(rng, PrngStream):
+        if _in_particle_sectors(amps):
+            return _first_run(*run_forward(config, initial, [rng]))
+        field, probabilities, occupancy, final = _view_run(
+            config, amps, lambda t, slot, p_one: 1 if rng.uniform() < p_one else 0
+        )
+        return LatticeRunRecord(StochasticField(field), probabilities, occupancy), final
+    uniforms = [stream.uniform for stream in rng]
+    _check_batch(len(uniforms), [amps])
+    field, probabilities, occupancy, finals = _particle_runs(
+        config,
+        [amps] * len(uniforms),
+        lambda t, slot, p_one: np.array([uniform() for uniform in uniforms]) < p_one,
+    )
+    return LatticeRunRecord(StochasticField(field), probabilities, occupancy), finals
 
 
 def run_backward(
-    config: LatticeConfig, field: StochasticField, final_state: QuantumState
-) -> tuple[LatticeRunRecord, QuantumState]:
+    config: LatticeConfig,
+    field: StochasticField,
+    final_state: QuantumState | Sequence[QuantumState],
+) -> tuple[LatticeRunRecord, QuantumState | list[QuantumState]]:
     """Replay a recorded field anti-chronologically from the conjugated end state.
 
     ``final_state`` must be the complex conjugate of the forward run's final
@@ -519,18 +596,36 @@ def run_backward(
     weight of ``alpha = 1`` conditioned on all field values later in
     coordinate time; the jump then consumes the FIXED recorded ``alpha``,
     never a fresh draw.
+
+    A batch replays a ``(R, steps, n_columns)`` field, such as a batched
+    :func:`run_forward` records, from a sequence of R conjugated final
+    states in the vacuum and one-particle sectors, and returns a record by
+    run and a list of states; row ``r`` is bit for bit what run ``r`` alone
+    gives.
     """
-    _check_run_inputs(config, final_state, "final")
-    if field.steps != config.steps or field.n_columns != config.n_columns:
-        raise DimensionError(
-            f"field shape {field.alpha.shape} does not match config "
-            f"({config.steps}, {config.n_columns})"
+    if isinstance(final_state, QuantumState):
+        _check_run_inputs(config, final_state, "final")
+        _check_field(config, field, ())
+        amps = final_state.amplitudes
+        if _in_particle_sectors(amps):
+            return _first_run(*run_backward(config, StochasticField(field.alpha[None]), [final_state]))
+        _, probabilities, occupancy, final = _view_run(
+            config, amps, lambda t, slot, p_one: int(field.alpha[t, slot]), backward=True
         )
-    amps = final_state.amplitudes.copy()
-    probabilities, occupancy = _pass(
-        config,
-        _kernels(config, amps),
-        lambda t, slot, p_one: int(field.alpha[t, slot]),
-        backward=True,
+        return LatticeRunRecord(field, probabilities, occupancy), final
+    states = list(final_state)
+    starts = [state.amplitudes for state in states]
+    _check_batch(len(states), starts)
+    for state in states:
+        _check_run_inputs(config, state, "final")
+    _check_field(config, field, (len(starts),))
+    _, probabilities, occupancy, finals = _particle_runs(
+        config, starts, lambda t, slot, p_one: field.alpha[:, t, slot], backward=True
     )
-    return LatticeRunRecord(field, probabilities, occupancy), QuantumState(amps)
+    return LatticeRunRecord(field, probabilities, occupancy), finals
+
+
+def _check_field(config: LatticeConfig, field: StochasticField, runs: tuple) -> None:
+    expected = (*runs, config.steps, config.n_columns)
+    if field.alpha.shape != expected:
+        raise DimensionError(f"field shape {field.alpha.shape} does not match config {expected}")

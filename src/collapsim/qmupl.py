@@ -26,10 +26,12 @@ Both directions return one ``WavePacketTrajectory(x, p, z, dB)`` indexed in
 forward time: the forward run's ``z`` is the record it wrote, the
 back-solve's the record it consumed.
 
-The recursions are computed on arrays, in the order of the step-by-step
-updates, so every value rounds exactly as the scalar recursion would: the
-forward run as running sums (``np.add.accumulate``), the back-solve as one
-loop over steps with numpy over a batch of runs.
+The recursions are computed in the order of the step-by-step updates, so
+every value rounds exactly as the scalar recursion would: the forward run
+as running sums (``np.add.accumulate``), the back-solve of a batch as one
+loop over steps with numpy over runs.  A batch too narrow to pay for that
+loop's numpy calls back-solves each run's increments on Python floats and
+rebuilds its ``x`` and ``p`` with the forward run's running sums.
 
 If the implied increments ``dB'`` pass a normality test at scale
 ``sqrt(dt)``, the record is statistically indistinguishable from one
@@ -127,18 +129,26 @@ def simulate_forward(
         dB = np.asarray(increments, dtype=float)
         if dB.shape != (n,):
             raise DimensionError(f"increments must have shape ({n},), got {dB.shape}")
+    x, p = _march(config.x0, config.p0, dB, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x[:-1] + dB / (config.g * config.dt)
+    return WavePacketTrajectory(x=x, p=p, z=z, dB=dB)
+
+
+def _march(x0: float, p0: float, dB: np.ndarray, config: QmuplConfig) -> tuple:
+    """``x`` and ``p`` of the recursion from ``(x0, p0)`` driven by ``dB``, as two running sums."""
+    n = dB.size
     m, dt = config.m, config.dt
     terms = np.empty(2 * n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms[0] = config.p0
+        terms[0] = p0
         np.multiply(0.5 * config.g, dB, out=terms[1 : n + 1])
         p = np.add.accumulate(terms[: n + 1])
-        terms[0] = config.x0
+        terms[0] = x0
         terms[1::2] = (p[:-1] / m) * dt
         terms[2::2] = dB / math.sqrt(m)
         x = np.add.accumulate(terms)[::2].copy()
-        z = x[:-1] + dB / (config.g * dt)
-    return WavePacketTrajectory(x=x, p=p, z=z, dB=dB)
+    return x, p
 
 
 def reverse_trajectory(
@@ -156,8 +166,9 @@ def reverse_trajectory(
 
     One call also back-solves a batch: a ``(runs, n)`` record with ``(runs,)``
     end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
-    bit for bit what row ``r`` alone gives.  The loop runs over steps, with
-    numpy over runs.
+    bit for bit what row ``r`` alone gives.  From ``_ARRAY_RUNS`` runs on the
+    loop runs over steps, with numpy over runs; a narrower batch, one run
+    included, loops over each run's steps on Python floats.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
@@ -170,12 +181,27 @@ def reverse_trajectory(
         raise DimensionError(
             f"end points must have shape {runs}, got {x_end.shape} and {p_end.shape}"
         )
+    record = centres.reshape(-1, n)
+    if record.shape[0] < _ARRAY_RUNS:
+        xs = np.empty((record.shape[0], n + 1))
+        ps = np.empty_like(xs)
+        steps = np.empty((record.shape[0], n))
+        anchors = zip(record, x_end.ravel().tolist(), p_end.ravel().tolist())
+        for row, (centres_row, x, p) in enumerate(anchors):
+            # The back-solve marches from the anchor with the increments it
+            # solves for, so the march rebuilds x and p with their roundings.
+            increments = np.fromiter(_back_solve(centres_row.tolist(), x, p, config), float, n)
+            march_x, march_p = _march(x, -p, increments, config)
+            xs[row], ps[row], steps[row] = march_x[::-1], march_p[::-1], increments[::-1]
+        return WavePacketTrajectory(
+            x=xs.reshape(*runs, -1), p=ps.reshape(*runs, -1), z=centres, dB=steps.reshape(*runs, -1)
+        )
     m, dt = config.m, config.dt
     sqrt_m = math.sqrt(m)
     g_dt = config.g * dt
     half_g = 0.5 * config.g
     # Step-major work arrays, so each step reads and writes one row.
-    record = centres.reshape(-1, n).T
+    record = record.T
     xs = np.empty((n + 1, record.shape[1]))
     ps = np.empty_like(xs)
     steps = np.empty((n, record.shape[1]))
@@ -199,6 +225,32 @@ def reverse_trajectory(
         return np.ascontiguousarray(array.T.reshape(*runs, -1))
 
     return WavePacketTrajectory(x=by_run(xs), p=by_run(ps), z=centres, dB=by_run(steps))
+
+
+# Fewest runs for which the back-solve's step loop runs on arrays.  Its nine
+# ufunc calls per step cost about as much as this many runs of the scalar
+# loop do.
+_ARRAY_RUNS = 20
+
+
+def _back_solve(centres: list, x_n: float, p_n: float, config: QmuplConfig) -> list:
+    """One run's increments ``dB'``, from the last down, on Python floats.
+
+    The operations are the array loop's, so the values are too; an overflow
+    gives inf or NaN quietly, as there.
+    """
+    m, dt = config.m, config.dt
+    sqrt_m = math.sqrt(m)
+    g_dt = config.g * dt
+    half_g = 0.5 * config.g
+    x, p = x_n, -p_n
+    steps = []
+    for z in reversed(centres):
+        step = g_dt * (z - x)
+        x = x + (p / m) * dt + step / sqrt_m
+        p = p + half_g * step
+        steps.append(step)
+    return steps
 
 
 def normality_test(increments: Sequence[float], dt: float) -> TestReport:

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_range_reversal
+from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_batch_worker, _qmupl_range_reversal
 from collapsim.lattice import (
     LatticeConfig,
     QuantumState,
@@ -287,6 +287,9 @@ def wavepacket_runs(task):
         result = projected_normality_test(increments, x_end, p_end, config)
         rows.append((result.free.p_value, result.pinned_gap))
     return rows
+
+
+wavepacket_runs.range_cap = _qmupl_batch_worker.range_cap
 
 
 def test_criterion_06_wavepacket_pvalues_uniform(capsys):

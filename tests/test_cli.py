@@ -16,8 +16,11 @@ import pytest
 
 from collapsim import cli, errors
 from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
+from collapsim.lattice import conjugate, run_backward, run_forward
+from collapsim.lattice_analysis import reversal_chi_squared
 from collapsim.output import read_pgm, write_csv, write_pgm
 from collapsim.retrodiction import load_kernel
+from collapsim.stats import PrngStream
 
 from artifact_digests import SMALL_RUNS, digest_lines
 
@@ -604,8 +607,8 @@ def test_prng_driven_artifacts_match_golden_digests(tmp_path):
     assert digests == golden
 
 
-# 53 runs split into ranges of 53 // (workers * 8) runs, so the last range
-# is shorter than the others at every worker count.
+# 53 runs split into ranges of ceil(53 / workers) runs: one range serially,
+# and on two or more CPUs a last range shorter than the first.
 WORKER_ARGS = {
     "lattice-batch": ("--runs", "53", "--lattice-n", "8", "--steps", "40"),
     "qmupl-batch": ("--runs", "53", "--n-steps", "200"),
@@ -736,6 +739,9 @@ def range_rows(task):
     return [(index, seed) for index in range(start, stop)]
 
 
+range_rows.range_cap = lambda params: 64
+
+
 @pytest.mark.parametrize("cpus, pools", [(3, [3]), (16, [10]), (1, []), (None, [])])
 def test_workers_are_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, pools):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -744,21 +750,70 @@ def test_workers_are_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, pools):
     assert results == [(i, 5) for i in range(10)]
 
 
+# (runs, workers, range cap, range size) on 2 CPUs; a case's id leaves out
+# the cap.
+FAN_OUT_CASES = [
+    (1000, 2, 64, 64),  # qmupl-pool: the default 1000 steps allow 64 runs
+    (5000, 2, 64, 64),  # the default qmupl-batch
+    (53, 1, 6, 6),  # qmupl-batch at 10 000 steps
+    (3, 2, 1, 1),  # qmupl-batch at 64 000 steps
+    (50, 2, 64, 25),  # lattice-pool: 12 columns allow 64 runs
+    (500, 1, 4, 4),  # the default lattice-batch: 16 columns allow 4 runs
+    (53, 2, 64, 27),
+    (50, 64, 1024, 25),
+    (10, 1, 0, 1),
+]
+
+
 @pytest.mark.parametrize(
-    "runs, workers, size",
-    [(1000, 2, 62), (5000, 2, 64), (53, 2, 3), (53, 1, 6), (50, 64, 3), (3, 2, 1)],
+    "runs, workers, cap, size",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[3]}") for case in FAN_OUT_CASES],
 )
-def test_fan_out_hands_out_contiguous_capped_ranges(monkeypatch, pool_sizes, runs, workers, size):
-    # On 2 CPUs a range holds runs // (workers * 8) runs, at least 1 and at
-    # most 64, and the rows come back in run order.
+def test_fan_out_hands_out_contiguous_capped_ranges(monkeypatch, pool_sizes, runs, workers, cap, size):
+    # On 2 CPUs a range holds ceil(runs / workers) runs, at least 1 and at
+    # most the worker's range cap, and the rows come back in run order.
     tasks = []
 
     def worker(task):
         tasks.append(task[:3])
         return range_rows(task)
 
+    worker.range_cap = lambda params: cap
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     results = cli._fan_out(worker, {"seed": 5, "runs": runs, "workers": workers})
     assert tasks == [(start, min(start + size, runs), 5) for start in range(0, runs, size)]
     assert results == [(i, 5) for i in range(runs)]
     assert pool_sizes == ([] if workers == 1 else [2])
+
+
+@pytest.mark.parametrize(
+    "experiment, n_steps, lattice_n, cap",
+    [("qmupl-batch", 1000, 16, 64), ("qmupl-batch", 10_000, 16, 6), ("qmupl-batch", 100_000, 16, 0),
+     ("lattice-batch", 1000, 12, 64), ("lattice-batch", 1000, 16, 4), ("lattice-batch", 1000, 2, 65_536)],
+)
+def test_range_caps_bound_a_range_by_memory(experiment, n_steps, lattice_n, cap):
+    # A qmupl range holds at most 64 000 record values, a lattice range at
+    # most 2**18 dense amplitudes.
+    worker = {"qmupl-batch": cli._qmupl_batch_worker, "lattice-batch": cli._lattice_batch_worker}
+    assert worker[experiment].range_cap({"n_steps": n_steps, "lattice_n": lattice_n}) == cap
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lattice_batch_rows_match_a_one_run_oracle(workers):
+    # 53 runs at width 12 in ranges of one forward and one backward call
+    # each; every row must equal the per-run run_forward/run_backward loop.
+    params = {
+        "seed": 31, "runs": 53, "workers": workers, "lattice_n": 12, "collapse_x": 0.5,
+        "theta": 0.7853981633974483, "steps": 12, "initial": "particle", "particle_column": 7,
+    }
+    config = cli._lattice_config(params)
+    expected = []
+    for index in range(53):
+        record, final = run_forward(config, cli._lattice_initial(params), PrngStream(31).split(index))
+        back, _ = run_backward(config, record.field, conjugate(final))
+        try:
+            report = reversal_chi_squared(record.field, back.probabilities)
+            expected.append((index, report.statistic, report.dof, report.p_value))
+        except errors.DegenerateTestError:
+            expected.append((index, None, None, None))
+    assert cli._fan_out(cli._lattice_batch_worker, params) == expected

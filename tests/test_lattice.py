@@ -7,7 +7,7 @@ import pytest
 from collapsim.errors import ConfigError, DegenerateTestError, DimensionError, InvalidStateError
 from collapsim.lattice import (
     MAX_COLUMNS,
-    _kernels,
+    _in_particle_sectors,
     _pass,
     _ParticleKernels,
     _reciprocal_norm,
@@ -96,8 +96,10 @@ def test_config_validation():
         (np.zeros((0, 4)), "shape"),
         (np.zeros((3, 5)), "shape"),
         (np.full((3, 4), 2), "0 or 1"),
+        (np.zeros((2, 3, 4, 2)), "shape"),
+        (np.zeros((2, 3, 5)), "shape"),
     ],
-    ids=["one-axis", "no-steps", "odd-width", "non-binary"],
+    ids=["one-axis", "no-steps", "odd-width", "non-binary", "four-axes", "batch-odd-width"],
 )
 def test_field_validation(alpha, message):
     with pytest.raises(DimensionError, match=message):
@@ -661,27 +663,30 @@ def test_pass_matches_division_loop(n_columns, start, x):
 
 
 def _kernel_run(config, amplitudes, make_kernels, field=None, backward=False, seed=0):
-    """A pass through the given kernels on a copy of ``amplitudes``.
+    """A one-run pass through the given kernels on a copy of ``amplitudes``.
 
     Without ``field`` the pass draws the field from ``PrngStream(seed)`` as
     ``run_forward`` does; with one it replays that fixed field.  Returns the
     field, probabilities, occupancy and final amplitudes.
     """
     amps = amplitudes.copy()
-    kernels = make_kernels(config, amps)
+    if make_kernels is _ParticleKernels:
+        kernels, runs = _ParticleKernels(config, [amps]), (1,)
+    else:
+        kernels, runs = _ViewKernels(config, amps), ()
     if field is None:
         rng = PrngStream(seed)
-        field = np.empty((config.steps, config.n_columns), dtype=np.uint8)
 
         def alpha_at(t, slot, p_one):
-            field[t, slot] = alpha = 1 if rng.uniform() < p_one else 0
-            return alpha
+            return rng.uniform() < p_one
     else:
         def alpha_at(t, slot, p_one):
-            return int(field[t, slot])
+            return field[t, slot]
 
-    probabilities, occupancy = _pass(config, kernels, alpha_at, backward)
-    return field, probabilities, occupancy, amps
+    arrays = _pass(config, kernels, alpha_at, backward, runs)
+    if runs:
+        return tuple(array[0] for array in arrays) + (kernels.dense[0],)
+    return arrays + (amps,)
 
 
 def _two_particle_state(n_columns, np_rng):
@@ -725,20 +730,97 @@ def test_sector_kernels_match_view_kernels_bit_for_bit(n_columns, start, theta, 
     assert runs[0] == runs[1]
 
 
-def test_dispatch_takes_particle_kernels_only_for_small_sectors():
+def _assert_batch_matches_one_run_calls(config, initial, seed, runs):
+    """One call over the R streams ``PrngStream(seed).split(index)`` against R one-run calls.
+
+    Every row of the batch's field, probabilities, occupancies and final
+    states, forward and backward from the conjugated final states, must
+    equal the bytes of its own one-run call.
+    """
+    streams = [PrngStream(seed).split(index) for index in range(runs)]
+    record, finals = run_forward(config, initial, streams)
+    back, recovered = run_backward(config, record.field, [conjugate(final) for final in finals])
+    assert record.probabilities.shape == (runs, config.steps, config.n_columns)
+    for index in range(runs):
+        one, final = run_forward(config, initial, PrngStream(seed).split(index))
+        one_back, one_recovered = run_backward(config, one.field, conjugate(final))
+        pairs = [
+            (record.field.alpha[index], one.field.alpha),
+            (record.probabilities[index], one.probabilities),
+            (record.occupancy[index], one.occupancy),
+            (finals[index].amplitudes, final.amplitudes),
+            (back.probabilities[index], one_back.probabilities),
+            (back.occupancy[index], one_back.occupancy),
+            (recovered[index].amplitudes, one_recovered.amplitudes),
+        ]
+        for batched, alone in pairs:
+            assert batched.shape == alone.shape
+            assert batched.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("runs", [1, 3, 17])
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("start", ["vacuum", "particle", "superposition"])
+@pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
+def test_batched_runs_match_one_run_calls_bit_for_bit(n_columns, start, x, runs):
+    config = LatticeConfig(n_columns, x, 0.7, steps=4)
+    _assert_batch_matches_one_run_calls(
+        config, QuantumState(_particle_start(start, n_columns)), n_columns, runs
+    )
+
+
+def test_batched_runs_check_their_field_and_states():
+    config = LatticeConfig(4, 0.5, 0.3, steps=2)
+    initial = single_particle_state(4, 2)
+    record, finals = run_forward(config, initial, [PrngStream(1), PrngStream(2)])
+    conjugated = [conjugate(final) for final in finals]
+    with pytest.raises(DimensionError, match=r"does not match config \(3, 2, 4\)"):
+        run_backward(config, record.field, conjugated + conjugated[:1])
+    with pytest.raises(DimensionError, match=r"does not match config \(2, 4\)"):
+        run_backward(config, record.field, conjugated[0])
+    with pytest.raises(DimensionError, match="at least one"):
+        run_forward(config, initial, [])
+    with pytest.raises(DimensionError, match="at least one"):
+        run_backward(config, record.field, [])
+    with pytest.raises(InvalidStateError, match="final state must be normalized"):
+        run_backward(config, record.field, [conjugated[0], QuantumState(2.0 * initial.amplitudes)])
+
+
+def test_dispatch_takes_particle_kernels_only_for_small_sectors(monkeypatch):
     # The particle kernels take exactly the states with weight in the vacuum
     # and one-particle sectors alone; every other state takes the views.
     config = LatticeConfig(8, 0.5, 0.7, steps=1)
     np_rng = np.random.default_rng(23)
+    built = []
+
+    class Recorded(_ParticleKernels):
+        def __init__(self, config, starts):
+            built.append(len(starts))
+            super().__init__(config, starts)
+
+    monkeypatch.setattr("collapsim.lattice._ParticleKernels", Recorded)
+    streams = [PrngStream(1), PrngStream(2)]
     for start in ("vacuum", "particle", "superposition"):
         amps = _particle_start(start, 8)
-        assert isinstance(_kernels(config, amps.copy()), _ParticleKernels)
+        assert _in_particle_sectors(amps)
+        record, finals = run_forward(config, QuantumState(amps), streams)
+        run_backward(config, record.field, [conjugate(final) for final in finals])
+        run_forward(config, QuantumState(amps), PrngStream(3))
+    assert built == [2, 2, 1] * 3
     # Two particles; weight in every sector; and a few amplitudes in
     # sectors 3, 4 and 5.
     wide = np.zeros(256, dtype=np.complex128)
     wide[[0b111, 0b1111, 0b11111]] = 1 / math.sqrt(3)
     for amps in (_two_particle_state(8, np_rng), random_state(8, np_rng).amplitudes, wide):
-        assert isinstance(_kernels(config, amps.copy()), _ViewKernels)
+        assert not _in_particle_sectors(amps)
+        record, final = run_forward(config, QuantumState(amps), PrngStream(3))
+        run_backward(config, record.field, conjugate(final))
+        # Such starts pass one run per call, on the views.
+        with pytest.raises(InvalidStateError, match="one run at a time"):
+            run_forward(config, QuantumState(amps), streams)
+        with pytest.raises(InvalidStateError, match="one run at a time"):
+            run_backward(config, StochasticField(record.field.alpha[None]), [conjugate(final)])
+    assert built == [2, 2, 1] * 3
 
 
 def _complex_phase_start(n_columns, column):

@@ -11,6 +11,7 @@ from collapsim.qmupl import (
     MAX_STEPS,
     QmuplConfig,
     WavePacketTrajectory,
+    _ARRAY_RUNS,
     _boundary_response,
     _free_coordinates,
     ensemble_energy_curve,
@@ -537,31 +538,33 @@ def test_float_recursions_match_element_loops(n):
                 assert_same_bytes(fast_array, slow_array)
 
         # The same back-solves as one call over index + 1 runs (one run for
-        # the first config).  Every row must equal its one-run call and the
-        # element loop byte for byte, also the last row of a batch, whose
-        # anchor overflows the recursion to inf and then NaN, quietly.
-        runs = index + 1
-        records = np.array([(trajectory.z, replay.z)[r % 2] for r in range(runs)])
-        x_ends = np.array([trajectory.x[-1]] + [0.3 * r - 1.0 for r in range(1, runs)])
-        p_ends = np.array([trajectory.p[-1]] + [2.5 - r for r in range(1, runs)])
-        if runs > 1:
-            x_ends[-1], p_ends[-1] = HUGE, -HUGE
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            batch = reverse_trajectory(records, x_ends, p_ends, config)
-        assert_same_bytes(batch.z, records)
-        for r in range(runs):
-            single = reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
-            with np.errstate(over="ignore", invalid="ignore"):
-                slow = slow_reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
-            for batch_array, single_array, slow_array in zip(
-                (batch.x, batch.p, batch.dB), (single.x, single.p, single.dB), slow
-            ):
-                assert_same_bytes(batch_array[r], single_array)
-                assert_same_bytes(batch_array[r], slow_array)
-        if runs > 1:
-            assert not np.isfinite(batch.x[-1, -2])
-            assert np.isnan(batch.x[-1, :-2]).all()
+        # the first config), which loops over each run on Python floats, and
+        # over _ARRAY_RUNS + index runs, which loops over steps on arrays.
+        # Every row must equal its one-run call and the element loop byte
+        # for byte, also the last row of a batch, whose anchor overflows the
+        # recursion to inf and then NaN, quietly.
+        for runs in (index + 1, _ARRAY_RUNS + index):
+            records = np.array([(trajectory.z, replay.z)[r % 2] for r in range(runs)])
+            x_ends = np.array([trajectory.x[-1]] + [0.3 * r - 1.0 for r in range(1, runs)])
+            p_ends = np.array([trajectory.p[-1]] + [2.5 - r for r in range(1, runs)])
+            if runs > 1:
+                x_ends[-1], p_ends[-1] = HUGE, -HUGE
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = reverse_trajectory(records, x_ends, p_ends, config)
+            assert_same_bytes(batch.z, records)
+            for r in range(runs):
+                single = reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    slow = slow_reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
+                for batch_array, single_array, slow_array in zip(
+                    (batch.x, batch.p, batch.dB), (single.x, single.p, single.dB), slow
+                ):
+                    assert_same_bytes(batch_array[r], single_array)
+                    assert_same_bytes(batch_array[r], slow_array)
+            if runs > 1:
+                assert not np.isfinite(batch.x[-1, -2])
+                assert np.isnan(batch.x[-1, :-2]).all()
 
         # KS test of the back-solved increments at scale sqrt(dt).
         scale = 1.0 / math.sqrt(config.dt)
