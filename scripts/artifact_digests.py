@@ -5,12 +5,17 @@ Usage:  PYTHONPATH=src python3 scripts/artifact_digests.py [SEED ...]
 Each experiment runs once per seed (default: seed 1) at the small sizes of
 ``SMALL_RUNS``, into a temporary directory.  One line
 ``<sha256>  <seed>/<experiment>/<file>`` is printed per output file,
-``manifest.jsonl`` included.  The byte-identical replay criterion
+``manifest.jsonl`` included.  Every experiment starts its lattice in the
+vacuum and one-particle sectors, so none of them runs the dense pass; one
+more line per seed, ``<sha256>  <seed>/dense-pass/width-8``, digests a
+width-8 forward and backward pass from a state with weight in every sector
+(see ``dense_pass_digest``).  The byte-identical replay criterion
 (criterion 12 in ``tests/test_acceptance.py``) imports ``SMALL_RUNS`` and
 ``digest_lines`` from here and compares two listings.  The script imports
-only the standard library and ``collapsim.cli.main``, so it runs against any
-checkout whose ``src`` is on ``PYTHONPATH``.  To check that a change leaves
-every artifact byte alone, run it against both trees and diff the two listings:
+only the standard library, numpy and the public names of ``collapsim``, so
+it runs against any checkout whose ``src`` is on ``PYTHONPATH``.  To check
+that a change leaves every artifact byte alone, run it against both trees
+and diff the two listings:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/artifact_digests.py 1 123 > before.txt
     PYTHONPATH=src python3 scripts/artifact_digests.py 1 123 > after.txt
@@ -24,7 +29,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from collapsim.cli import main
+from collapsim.lattice import LatticeConfig, QuantumState, conjugate, normalize, run_backward, run_forward
+from collapsim.stats import PrngStream
 
 # Small sizes of every experiment, also the sizes of criterion 12.
 SMALL_RUNS = {
@@ -40,6 +49,27 @@ SMALL_RUNS = {
 }
 
 
+def dense_pass_digest(seed: int) -> str:
+    """Sha256 of a width-8 forward and backward pass from an all-sector state.
+
+    The state is normalized from ``PrngStream(seed)`` Gaussians, real and
+    imaginary part in turn, and the same stream then draws the field.  The
+    digest covers the field and, in both directions, the probabilities, the
+    occupancies and the final amplitudes.
+    """
+    config = LatticeConfig(n_columns=8, collapse_x=0.5, theta=np.pi / 4, steps=15)
+    rng = PrngStream(seed)
+    parts = np.array([rng.gaussian() for _ in range(2 << config.n_columns)])
+    initial = normalize(QuantumState(parts.view(np.complex128)))
+    record, final = run_forward(config, initial, rng)
+    back, recovered = run_backward(config, record.field, conjugate(final))
+    arrays = (
+        record.field.alpha, record.probabilities, record.occupancy, final.amplitudes,
+        back.probabilities, back.occupancy, recovered.amplitudes,
+    )
+    return hashlib.sha256(b"".join(array.tobytes() for array in arrays)).hexdigest()
+
+
 def digest_lines(seeds: list[str], root: Path) -> list[str]:
     lines = []
     for seed in seeds:
@@ -51,6 +81,7 @@ def digest_lines(seeds: list[str], root: Path) -> list[str]:
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
+        lines.append(f"{dense_pass_digest(int(seed))}  {seed}/dense-pass/width-8")
     return lines
 
 

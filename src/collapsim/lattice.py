@@ -54,8 +54,12 @@ amplitudes, not 65,536.  The renormalizing norm stays ``np.vdot`` over the
 dense vector, into which the compact amplitudes are scattered first: the sum
 over the support alone adds in another order than the BLAS sum and moves
 the last bit of about three norms in ten.  States with two or more
-particles, like a Gaussian-random vector, run on reshaped views of the
-dense vector.
+particles, like a Gaussian-random vector, run on the dense vector: a vertex
+mixes two reshaped block views, and a jump is one multiply of the vector's
+float view by a factor pattern built once per pass for each column, whose
+bit picks each amplitude's factor.  The occupancy still sums its column's
+reshaped half view with ``einsum``, and the norm is still ``np.vdot``, in
+the order that fixes the artifacts' bytes.
 
 Runs differ only in their draws, so :func:`run_forward` also takes a
 sequence of R streams, and :func:`run_backward` the R conjugated final
@@ -235,11 +239,10 @@ def conjugate(state: QuantumState) -> QuantumState:
 # ======================================================================
 
 
-def _column_halves(amps: np.ndarray, n_columns: int, column: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the amplitudes whose ``column`` bit is 0 and 1, in that order."""
+def _occupied_half(amps: np.ndarray, n_columns: int, column: int) -> np.ndarray:
+    """View of the amplitudes whose ``column`` bit is 1."""
     p = column - 1
-    view = amps.reshape(1 << (n_columns - 1 - p), 2, 1 << p)
-    return view[:, 0, :], view[:, 1, :]
+    return amps.reshape(1 << (n_columns - 1 - p), 2, 1 << p)[:, 1, :]
 
 def _vertex_blocks(amps: np.ndarray, n_columns: int, left_column: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(01, 10)`` block views of the vertex on ``left_column`` and its right neighbour.
@@ -265,11 +268,28 @@ def _vertex_inplace(s01: np.ndarray, s10: np.ndarray, diag: complex, off: float)
     s01[...] = diag * kept + off * s10
     s10[...] = off * kept + diag * s10
 
-def _jump_inplace(halves: tuple[np.ndarray, np.ndarray], alpha: int, scale: float, x_scale: float) -> None:
-    suppressed = halves[1 - alpha]
-    suppressed *= x_scale  # the branch disfavoured by alpha is de-amplified by X
-    favoured = halves[alpha]
-    favoured *= scale
+def _jump_operands(amps: np.ndarray, n_columns: int, column: int, x: float) -> tuple[np.ndarray, tuple]:
+    """A float view of ``amps`` and the factor patterns of ``J(0)`` and ``J(1)`` on ``column``.
+
+    ``view *= factors[alpha]`` applies ``J(alpha)`` in one multiply.  Bit
+    ``column - 1`` of an amplitude's index picks its factor, so on the float
+    view the pattern repeats every ``2**(column + 1)`` values.  A period
+    shorter than the tile (2048 values, or the whole vector if shorter)
+    repeats along one row that multiplies every ``(-1, tile)`` row of the
+    view; a longer one is a ``(2, 1)`` column against the two halves of each
+    period.  Each part is the one rounded product that ``complex *= float``
+    computes as ``re * f - im * 0`` and ``re * 0 + im * f``.  Only the sign
+    of an exact zero can differ, and the renormalization and the next
+    link's complex multiply give it back.
+    """
+    scale, x_scale = _jump_constants(x)
+    parts = amps.view(np.float64)
+    period, tile = 2 << column, min(2048, 2 << n_columns)
+    if period < tile:
+        view, bits = parts.reshape(-1, tile), np.arange(tile) >> column & 1
+    else:
+        view, bits = parts.reshape(-1, 2, period // 2), np.arange(2)[:, None]
+    return view, tuple(np.where(bits == alpha, scale, x_scale) for alpha in (0, 1))
 
 def _occupancy(occupied: np.ndarray, norm_squared: float) -> float:
     """Weight of the ``occupied`` half over ``norm_squared``, clamped to at most 1."""
@@ -319,7 +339,8 @@ def apply_jump(state: QuantumState, i: int, alpha: int, x: float) -> QuantumStat
     if not 0.0 <= x <= 1.0:
         raise ConfigError(f"collapse_x must lie in [0, 1], got {x}")
     amps = state.amplitudes.copy()
-    _jump_inplace(_column_halves(amps, n, i), int(alpha), *_jump_constants(x))
+    view, factors = _jump_operands(amps, n, i, x)
+    view *= factors[int(alpha)]
     return QuantumState(amps)
 
 
@@ -337,7 +358,7 @@ def occupancy_expectation(state: QuantumState, i: int) -> float:
         raise DimensionError(f"column must lie in 1..{n}, got {i}")
     if not state.norm_squared > 0.0:
         raise InvalidStateError("occupancy undefined for a zero state")
-    return _occupancy(_column_halves(state.amplitudes, n, i)[1], state.norm_squared)
+    return _occupancy(_occupied_half(state.amplitudes, n, i), state.norm_squared)
 
 
 def link_collapse_probability(state: QuantumState, i: int, x: float) -> float:
@@ -372,30 +393,36 @@ def _check_run_inputs(config: LatticeConfig, state: QuantumState, role: str) -> 
 
 
 class _ViewKernels:
-    """The pass's kernels on reshaped views of the dense vector.
+    """The pass's kernels on views of the dense vector.
 
     They serve every state with weight outside the vacuum and one-particle
-    sectors; each kernel's views and constants are built once per pass.
+    sectors; each kernel's views, factor patterns and constants are built
+    once per pass.  A vertex mixes the two block views of its columns.  A
+    jump is one multiply of a float view by its column's factor pattern
+    (:func:`_jump_operands`); the occupancy sums the column's occupied half
+    view with ``einsum`` and the norm is ``np.vdot``, so both add in the
+    order the artifacts' bytes follow.
     """
 
     def __init__(self, config: LatticeConfig, amps: np.ndarray):
         n = config.n_columns
         self.amps = amps
         self.vertex = _vertex_constants(config.theta)
-        self.jump = _jump_constants(config.collapse_x)
         self.blocks = [_vertex_blocks(amps, n, column) for column in range(1, n + 1)]
-        self.halves = [_column_halves(amps, n, column) for column in range(1, n + 1)]
+        self.jumps = [_jump_operands(amps, n, column, config.collapse_x) for column in range(1, n + 1)]
+        self.occupied = [_occupied_half(amps, n, column) for column in range(1, n + 1)]
 
     def apply_vertex(self, slot: int) -> None:
         _vertex_inplace(*self.blocks[slot], *self.vertex)
 
     def collapse(self, slot: int, alpha: int) -> None:
         """Apply jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
-        _jump_inplace(self.halves[slot], alpha, *self.jump)
+        view, factors = self.jumps[slot]
+        view *= factors[alpha]
         self.amps *= _reciprocal_norm(self.amps)
 
     def occupancy(self, slot: int) -> float:
-        return _occupancy(self.halves[slot][1], 1.0)
+        return _occupancy(self.occupied[slot], 1.0)
 
     def finish(self) -> None:
         pass

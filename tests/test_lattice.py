@@ -8,6 +8,7 @@ from collapsim.errors import ConfigError, DegenerateTestError, DimensionError, I
 from collapsim.lattice import (
     MAX_COLUMNS,
     _in_particle_sectors,
+    _jump_operands,
     _pass,
     _ParticleKernels,
     _reciprocal_norm,
@@ -567,6 +568,49 @@ def test_renormalize_matches_division(kind, n_columns):
     assert np.array_equal(amps.view(np.float64), expected.view(np.float64))
 
 
+def _halves_jump(amps, n_columns, column, alpha, x):
+    """``J(alpha)`` on ``column`` as two multiplies of the strided half-views.
+
+    The form that the factor-pattern multiply replaced, kept as its oracle:
+    ``complex *= float`` multiplies each half by ``f + 0j``.
+    """
+    scale = 1.0 / math.sqrt(1.0 + x * x)
+    p = column - 1
+    view = amps.reshape(1 << (n_columns - 1 - p), 2, 1 << p)
+    suppressed = view[:, 1 - alpha, :]
+    suppressed *= x * scale
+    favoured = view[:, alpha, :]
+    favoured *= scale
+
+
+@pytest.mark.parametrize("kind", ["dense", "one-particle", "signed-zeros"])
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n_columns", range(2, MAX_COLUMNS + 1, 2))
+def test_jump_pattern_matches_halves_multiply(kind, x, n_columns):
+    # One multiply of the float view by a factor pattern against the two
+    # half-view multiplies, on every column and for both field values.  Each
+    # part is the same rounded product, so the bytes agree unless an exact
+    # zero goes in (signed zeros) or comes out (X = 0): then its sign may
+    # differ.  The renormalization and the next link's complex multiply
+    # give every such sign back.
+    amps = _unnormalized_state(kind, n_columns, np.random.default_rng([29, n_columns]))
+    rescale = _reciprocal_norm(amps)
+    for column in range(1, n_columns + 1):
+        for alpha in (0, 1):
+            expected = amps.copy()
+            _halves_jump(expected, n_columns, column, alpha, x)
+            got = amps.copy()
+            view, factors = _jump_operands(got, n_columns, column, x)
+            view *= factors[alpha]
+            assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+            if x > 0.0 and kind != "signed-zeros":
+                assert got.tobytes() == expected.tobytes()
+            for state in (got, expected):
+                state *= rescale
+                state *= rescale
+            assert got.tobytes() == expected.tobytes()
+
+
 def _division_pass(config, amps, alpha_at, backward=False):
     """The per-event loop that ``lattice._pass`` replaced, kept as its oracle.
 
@@ -581,9 +625,11 @@ def _division_pass(config, amps, alpha_at, backward=False):
         return amps.reshape(1 << (n - 1 - p), 2, 1 << p)[:, occupied, :]
 
     def occupancy_of(column):
+        # Clamped to at most 1, as the pass does: after a projective jump a
+        # lone amplitude can renormalize to 1 + 1 ulp.
         sub = half(column, 1)
         re, im = sub.real, sub.imag
-        return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
+        return min(float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)), 1.0)
 
     events = []
     for t in range(config.steps):
@@ -609,11 +655,7 @@ def _division_pass(config, amps, alpha_at, backward=False):
         occ = occupancy_of(column)
         p_one = (x * x + (1.0 - x * x) * occ) / (1.0 + x * x)
         alpha = alpha_at(t, slot, p_one)
-        scale = 1.0 / math.sqrt(1.0 + x * x)
-        suppressed = half(column, 1 - alpha)
-        suppressed *= x * scale
-        favoured = half(column, alpha)
-        favoured *= scale
+        _halves_jump(amps, n, column, alpha, x)
         amps /= math.sqrt(float(np.vdot(amps, amps).real))
         probabilities[t, slot] = p_one
         occupancy[t, slot] = occupancy_of(column)
@@ -628,7 +670,7 @@ def _start_state(start: str, n_columns: int) -> QuantumState:
     return random_state(n_columns, np.random.default_rng([17, n_columns]))
 
 
-@pytest.mark.parametrize("x", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("x", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("start", ["single-particle", "vacuum", "all-sector"])
 @pytest.mark.parametrize("n_columns", [4, 8, 12, 16])
 def test_pass_matches_division_loop(n_columns, start, x):
