@@ -193,10 +193,10 @@ def _qmupl_batch_worker(task) -> list[tuple]:
     return rows
 
 
-# A qmupl range holds its record and back-solve as (runs, n_steps) arrays:
-# 64 000 record values, 0.5 MB per array, are 64 runs of the default 1000
-# steps and 6 of 10 000.
-_qmupl_batch_worker.range_cap = lambda params: 64_000 // params["n_steps"]
+# A qmupl range holds four (runs, n_steps) arrays: its record and the
+# back-solve's x, p and dB.  128 000 record values, 1 MB per array, are 128
+# runs of the default 1000 steps and 12 of 10 000.
+_qmupl_batch_worker.range_cap = lambda params: 128_000 // params["n_steps"]
 
 
 def _fan_out(worker, params: dict) -> list[tuple]:

@@ -200,7 +200,7 @@ def pvalue_uniformity(p_values: Sequence[float]) -> UniformityReport:
         sample_size=int(values.size),
         method=f"chi-squared-uniformity-{bin_count}-bins",
     )
-    ks_report = ks_test(values, lambda v: min(1.0, max(0.0, v)))
+    ks_report = ks_test(values, lambda v: np.clip(v, 0.0, 1.0))
     return UniformityReport(
         chi_squared=chi_report, ks=ks_report, bin_counts=counts, bin_count=bin_count
     )

@@ -29,7 +29,8 @@ back-solve's the record it consumed.
 The recursions are computed in the order of the step-by-step updates, so
 every value rounds exactly as the scalar recursion would: the forward run
 as running sums (``np.add.accumulate``), the back-solve of a batch as one
-loop over steps with numpy over runs.  A batch too narrow to pay for that
+loop over steps with numpy over runs, reading and writing one column of
+run-major ``(runs, n)`` arrays per step.  A batch too narrow to pay for that
 loop's numpy calls back-solves each run's increments on Python floats and
 rebuilds its ``x`` and ``p`` with the forward run's running sums.
 
@@ -167,8 +168,11 @@ def reverse_trajectory(
     One call also back-solves a batch: a ``(runs, n)`` record with ``(runs,)``
     end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
     bit for bit what row ``r`` alone gives.  From ``_ARRAY_RUNS`` runs on the
-    loop runs over steps, with numpy over runs; a narrower batch, one run
-    included, loops over each run's steps on Python floats.
+    loop runs over steps, with numpy over runs: step ``i`` reads column ``i``
+    of the record and writes column views of the run-major result arrays, so
+    a batch holds its record and these three arrays and no other copy.  A
+    narrower batch, one run included, loops over each run's steps on Python
+    floats.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
@@ -200,18 +204,17 @@ def reverse_trajectory(
     sqrt_m = math.sqrt(m)
     g_dt = config.g * dt
     half_g = 0.5 * config.g
-    # Step-major work arrays, so each step reads and writes one row.
-    record = record.T
-    xs = np.empty((n + 1, record.shape[1]))
+    # Run-major arrays, so the step loop reads and writes one column of each.
+    xs = np.empty((record.shape[0], n + 1))
     ps = np.empty_like(xs)
-    steps = np.empty((n, record.shape[1]))
-    xs[n] = x_end
-    np.negative(p_end, out=ps[n])
+    steps = np.empty(record.shape)
+    xs[:, n] = x_end
+    np.negative(p_end, out=ps[:, n])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1, -1, -1):
-            x, p, step, x_prev, p_prev = xs[i + 1], ps[i + 1], steps[i], xs[i], ps[i]
+            x, p, step, x_prev, p_prev = xs[:, i + 1], ps[:, i + 1], steps[:, i], xs[:, i], ps[:, i]
             # step = g dt (z - x); x' = x + (p / m) dt + step / sqrt(m); p' = p + (g / 2) step
-            np.subtract(record[i], x, out=step)
+            np.subtract(record[:, i], x, out=step)
             np.multiply(g_dt, step, out=step)
             np.divide(p, m, out=x_prev)
             np.multiply(x_prev, dt, out=x_prev)
@@ -220,17 +223,14 @@ def reverse_trajectory(
             np.add(x_prev, p_prev, out=x_prev)
             np.multiply(half_g, step, out=p_prev)
             np.add(p, p_prev, out=p_prev)
-
-    def by_run(array: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(array.T.reshape(*runs, -1))
-
-    return WavePacketTrajectory(x=by_run(xs), p=by_run(ps), z=centres, dB=by_run(steps))
+    return WavePacketTrajectory(x=xs, p=ps, z=centres, dB=steps)
 
 
 # Fewest runs for which the back-solve's step loop runs on arrays.  Its nine
-# ufunc calls per step cost about as much as this many runs of the scalar
-# loop do.
-_ARRAY_RUNS = 20
+# ufunc calls per step, on strided columns, cost about as much as this many
+# runs of the scalar loop do: the two paths took equal time at 30 to 40 runs
+# in timeit runs at 200 and 1000 steps.
+_ARRAY_RUNS = 35
 
 
 def _back_solve(centres: list, x_n: float, p_n: float, config: QmuplConfig) -> list:

@@ -13,14 +13,16 @@ parent's position.  :meth:`PrngStream.next_u64` computes one output from
 its counter; uniform draws are computed a block of counters at a time, in
 numpy ``uint64`` arithmetic that wraps mod 2^64 as the scalar ``_mix64``
 masks, so they are bit-identical to the scalar generator's.  A Gaussian
-pair is the Box-Muller transform of the next two uniforms, computed per
-pair on ``math``: numpy's SIMD ``log``, ``cos`` and ``sin`` differ from it
-by an ulp on some inputs and vary by CPU.
+pair is the Box-Muller transform of the next two cached uniforms, computed
+per pair on ``math``: numpy's SIMD ``log``, ``cos`` and ``sin`` differ from
+it by an ulp on some inputs and vary by CPU.
 
 The hypothesis-testing helpers (`chi_squared_sf`, `ks_test`,
-`standard_normal_cdf`) return plain floats or a :class:`TestReport` and are
-accurate to well below the 1e-10 absolute level over the ranges exercised
-here (statistics up to ~1e3, degrees of freedom up to ~1e3).
+`standard_normal_cdf`) return plain floats, float arrays or a
+:class:`TestReport` and are accurate to well below the 1e-10 absolute level
+over the ranges exercised here (statistics up to ~1e3, degrees of freedom
+up to ~1e3).  `ks_test` calls its CDF once, on the sorted sample as a
+float64 array, as ``scipy.stats.kstest`` does.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class PrngStream:
     a generator serving one counter at a time would: a Gaussian pair takes
     the next two uniforms, and its second normal waits for the next
     :meth:`gaussian` call.  Uniforms are computed ``_BLOCK`` at a time into
-    one cache keyed by the position it starts at; a draw whose position
-    falls outside it recomputes it from there.
+    one cache keyed by the position it starts at; :meth:`uniform` and
+    :meth:`gaussian` read their one or two uniforms straight from it, and a
+    draw whose uniforms do not all lie in it recomputes it from its position.
     """
 
     __slots__ = ("seed", "stream_id", "_state", "_position", "_spare",
@@ -127,13 +130,18 @@ class PrngStream:
         self._position += 1
         return _mix64(self._state + self._position * GAMMA)
 
+    def _refill(self) -> int:
+        """Recompute the cache from the position on; returns the position's index in it, 0."""
+        self._uniforms = self._block_uniforms().tolist()
+        self._uniforms_start = self._position
+        return 0
+
     def uniform(self) -> float:
         """Uniform draw in [0, 1): the top 53 bits of the next output."""
         position = self._position
         k = position - self._uniforms_start
         if k >= _BLOCK:
-            self._uniforms = self._block_uniforms().tolist()
-            self._uniforms_start, k = position, 0
+            k = self._refill()
         self._position = position + 1
         return self._uniforms[k]
 
@@ -141,16 +149,23 @@ class PrngStream:
         """Standard normal draw via the Box-Muller transform.
 
         Returns the waiting second normal if there is one.  Otherwise the
-        next two uniforms ``a`` and ``b`` give ``r cos(t)``, returned, and
-        ``r sin(t)``, left waiting, with ``r = sqrt(-2 log(1 - a))`` and
-        ``t = 2 pi b``; ``1 - a`` lies in (0, 1], keeping the logarithm finite.
+        next two uniforms ``a`` and ``b``, read from the cache, give
+        ``r cos(t)``, returned, and ``r sin(t)``, left waiting, with
+        ``r = sqrt(-2 log(1 - a))`` and ``t = 2 pi b``; ``1 - a`` lies in
+        (0, 1], keeping the logarithm finite.
         """
         spare = self._spare
         if spare is not None:
             self._spare = None
             return spare
-        radius = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
-        angle = _TWO_PI * self.uniform()
+        position = self._position
+        k = position - self._uniforms_start
+        if k >= _BLOCK - 1:  # fewer than two cached uniforms left
+            k = self._refill()
+        self._position = position + 2
+        uniforms = self._uniforms
+        radius = math.sqrt(-2.0 * math.log(1.0 - uniforms[k]))
+        angle = _TWO_PI * uniforms[k + 1]
         self._spare = radius * math.sin(angle)
         return radius * math.cos(angle)
 
@@ -229,9 +244,16 @@ def chi_squared_sf(x: float, dof: int) -> float:
     return regularized_gamma_q(0.5 * dof, 0.5 * x)
 
 
-def standard_normal_cdf(x: float) -> float:
-    """CDF of the standard normal distribution."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+def standard_normal_cdf(x: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the standard normal distribution, elementwise on an array.
+
+    ``0.5 * erfc(-x / sqrt(2))``: the negation, division and halving run in
+    numpy and ``math.erfc`` per element, so each value is bit for bit the
+    scalar formula's.
+    """
+    scaled = -np.asarray(x, dtype=float) / _SQRT2
+    erfc = np.fromiter(map(math.erfc, scaled.ravel().tolist()), dtype=float, count=scaled.size)
+    return 0.5 * erfc.reshape(scaled.shape)
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -268,13 +290,15 @@ class TestReport:
     method: str
 
 
-def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> TestReport:
+def ks_test(sample: Sequence[float], cdf: Callable[[np.ndarray], np.ndarray]) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a fully specified CDF.
 
     The statistic is the two-sided sup-gap over the order statistics,
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n), and the p-value uses
-    the large-sample Kolmogorov distribution of sqrt(n) * D.  A non-finite
-    sample value raises :class:`DegenerateTestError`.
+    the large-sample Kolmogorov distribution of sqrt(n) * D.  ``cdf`` is
+    called once, on the sorted sample as a float64 array, and returns
+    ``F`` of each element.  A non-finite sample value raises
+    :class:`DegenerateTestError`.
     """
     n = len(sample)
     if n < 10:
@@ -284,8 +308,9 @@ def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> TestRepor
         raise DegenerateTestError("KS test sample holds a non-finite value")
     # Bit-identical to a running maximum over sorted(): the sort is stable,
     # each gap is one IEEE operation, fmax skips NaN gaps and max() keeps +0.0.
-    ordered = np.sort(values, kind="stable").tolist()
-    f = np.fromiter(map(cdf, ordered), dtype=float, count=n)
+    f = np.asarray(cdf(np.sort(values, kind="stable")), dtype=float)
+    if f.shape != (n,):
+        raise ValueError(f"cdf must return one value per sample element, got shape {f.shape}")
     ranks = np.arange(n)
     gaps = np.concatenate(((ranks + 1) / n - f, f - ranks / n))
     d_stat = max(0.0, float(np.fmax.reduce(gaps)))

@@ -77,7 +77,7 @@ def report(capsys, number, passed, detail):
 
 
 def uniform_cdf(x):
-    return min(max(x, 0.0), 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------

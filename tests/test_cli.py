@@ -7,7 +7,9 @@ image dimensions.
 """
 
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,10 +21,12 @@ from collapsim.cli import EXPERIMENTS, KEYS, build_parser, main, resolve_params
 from collapsim.lattice import conjugate, run_backward, run_forward
 from collapsim.lattice_analysis import reversal_chi_squared
 from collapsim.output import read_pgm, write_csv, write_pgm
+from collapsim.qmupl import _ARRAY_RUNS, reverse_trajectory, simulate_forward
 from collapsim.retrodiction import load_kernel
 from collapsim.stats import PrngStream
 
 from artifact_digests import SMALL_RUNS, digest_lines
+from test_stats import scalar_normal_cdf, slow_ks_test
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -753,10 +757,10 @@ def test_workers_are_capped_at_cpu_count(monkeypatch, pool_sizes, cpus, pools):
 # (runs, workers, range cap, range size) on 2 CPUs; a case's id leaves out
 # the cap.
 FAN_OUT_CASES = [
-    (1000, 2, 64, 64),  # qmupl-pool: the default 1000 steps allow 64 runs
+    (1000, 2, 64, 64),  # qmupl-pool's runs and workers
     (5000, 2, 64, 64),  # the default qmupl-batch
-    (53, 1, 6, 6),  # qmupl-batch at 10 000 steps
-    (3, 2, 1, 1),  # qmupl-batch at 64 000 steps
+    (53, 1, 6, 6),
+    (3, 2, 1, 1),  # qmupl-batch at 100 000 steps
     (50, 2, 64, 25),  # lattice-pool: 12 columns allow 64 runs
     (500, 1, 4, 4),  # the default lattice-batch: 16 columns allow 4 runs
     (53, 2, 64, 27),
@@ -788,11 +792,11 @@ def test_fan_out_hands_out_contiguous_capped_ranges(monkeypatch, pool_sizes, run
 
 @pytest.mark.parametrize(
     "experiment, n_steps, lattice_n, cap",
-    [("qmupl-batch", 1000, 16, 64), ("qmupl-batch", 10_000, 16, 6), ("qmupl-batch", 100_000, 16, 0),
+    [("qmupl-batch", 1000, 16, 128), ("qmupl-batch", 10_000, 16, 12), ("qmupl-batch", 100_000, 16, 1),
      ("lattice-batch", 1000, 12, 64), ("lattice-batch", 1000, 16, 4), ("lattice-batch", 1000, 2, 65_536)],
 )
 def test_range_caps_bound_a_range_by_memory(experiment, n_steps, lattice_n, cap):
-    # A qmupl range holds at most 64 000 record values, a lattice range at
+    # A qmupl range holds at most 128 000 record values, a lattice range at
     # most 2**18 dense amplitudes.
     worker = {"qmupl-batch": cli._qmupl_batch_worker, "lattice-batch": cli._lattice_batch_worker}
     assert worker[experiment].range_cap({"n_steps": n_steps, "lattice_n": lattice_n}) == cap
@@ -817,3 +821,40 @@ def test_lattice_batch_rows_match_a_one_run_oracle(workers):
         except errors.DegenerateTestError:
             expected.append((index, None, None, None))
     assert cli._fan_out(cli._lattice_batch_worker, params) == expected
+
+
+QMUPL_PARAMS = {"g": 20.0, "mass": 1.0, "dt": 0.001, "n_steps": 1000}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_qmupl_batch_rows_match_a_one_run_oracle(workers):
+    # 267 runs at 1000 steps in ranges of 128, 128 and 11 runs; the last is
+    # narrower than _ARRAY_RUNS, so both back-solve paths run.  Every row
+    # must equal the one-run simulate_forward / reverse_trajectory loop,
+    # scored by the element-loop KS test with a scalar normal CDF.
+    params = {"seed": 31, "runs": 267, "workers": workers, **QMUPL_PARAMS}
+    assert 267 % cli._qmupl_batch_worker.range_cap(params) < _ARRAY_RUNS
+    config = cli._qmupl_config(params)
+    scale = 1.0 / math.sqrt(config.dt)
+    expected = []
+    for index in range(267):
+        forward = simulate_forward(config, PrngStream(31).split(index))
+        back = reverse_trajectory(forward.z, forward.x[-1], forward.p[-1], config)
+        statistic, p_value = slow_ks_test(back.dB * scale, scalar_normal_cdf)
+        expected.append((index, statistic, None, p_value))
+    assert cli._fan_out(cli._qmupl_batch_worker, params) == expected
+
+
+def test_a_full_qmupl_range_stays_within_its_memory_budget():
+    # One range of the default 1000 steps: its four (128, 1000) arrays take
+    # 4.1 MB; the traced peak must stay below 4.5 MB.
+    params = {"seed": 1, "runs": 1000, "workers": 1, **QMUPL_PARAMS}
+    task = (0, cli._qmupl_batch_worker.range_cap(params), 1, params)
+    cli._qmupl_batch_worker(task)
+    tracemalloc.start()
+    try:
+        cli._qmupl_batch_worker(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6

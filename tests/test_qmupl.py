@@ -20,9 +20,9 @@ from collapsim.qmupl import (
     reverse_trajectory,
     simulate_forward,
 )
-from collapsim.stats import PrngStream, standard_normal_cdf
+from collapsim.stats import PrngStream
 
-from test_stats import ScalarSplitMix64, slow_ks_test
+from test_stats import ScalarSplitMix64, scalar_normal_cdf, slow_ks_test
 
 CONFIG = QmuplConfig(g=20.0, m=1.0, dt=0.001, n=1000)
 
@@ -553,6 +553,16 @@ def test_float_recursions_match_element_loops(n):
                 warnings.simplefilter("error")
                 batch = reverse_trajectory(records, x_ends, p_ends, config)
             assert_same_bytes(batch.z, records)
+            # A record passed as a transposed, non-contiguous view back-solves alike.
+            strided = np.ascontiguousarray(records.T).T
+            assert min(runs, n) == 1 or not strided.flags.c_contiguous
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                transposed = reverse_trajectory(strided, x_ends, p_ends, config)
+            for batch_array, transposed_array in zip(
+                (batch.x, batch.p, batch.dB), (transposed.x, transposed.p, transposed.dB)
+            ):
+                assert_same_bytes(transposed_array, batch_array)
             for r in range(runs):
                 single = reverse_trajectory(records[r], x_ends[r], p_ends[r], config)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -574,5 +584,5 @@ def test_float_recursions_match_element_loops(n):
                 normality_test(back.dB, config.dt)
         else:
             report = normality_test(back.dB, config.dt)
-            expected = slow_ks_test(slow_standardized, standard_normal_cdf)
+            expected = slow_ks_test(slow_standardized, scalar_normal_cdf)
             assert (report.statistic, report.p_value) == expected

@@ -291,6 +291,24 @@ def test_standard_normal_cdf_against_scipy():
     assert np.allclose(got, expected, atol=1e-14, rtol=1e-12)
 
 
+def scalar_normal_cdf(x):
+    """The standard normal CDF of one float, on ``math`` alone."""
+    return 0.5 * math.erfc(-x / math.sqrt(2))
+
+
+def test_standard_normal_cdf_on_arrays_matches_the_scalar_formula():
+    # Signed zeros, the smallest subnormal, tails where erfc underflows or
+    # saturates, the float limit, and 1000 normals; each value bit for bit.
+    special = [0.0, 5e-324, 1e-300, 8.0, 38.0, 40.0, 1e308]
+    xs = np.array(special + [-v for v in special] + list(np.random.default_rng(8).normal(size=1000)))
+    got = standard_normal_cdf(xs)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    expected = np.array([scalar_normal_cdf(x) for x in xs.tolist()])
+    assert got.tobytes() == expected.tobytes()
+    assert standard_normal_cdf(xs.reshape(2, -1)).tobytes() == expected.tobytes()
+    assert [standard_normal_cdf(x) for x in special] == [scalar_normal_cdf(x) for x in special]
+
+
 def test_kolmogorov_sf_against_scipy():
     for lam in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0, 3.0):
         expected = scipy.stats.kstwobign.sf(lam)
@@ -329,7 +347,7 @@ def test_ks_calibration_under_null():
     p_values = []
     for _ in range(300):
         sample = np_rng.uniform(size=80)
-        p_values.append(ks_test(sample, lambda v: min(max(v, 0.0), 1.0)).p_value)
+        p_values.append(ks_test(sample, lambda v: np.clip(v, 0.0, 1.0)).p_value)
     p_values = np.array(p_values)
     assert 0.40 < p_values.mean() < 0.60
     assert (p_values < 0.05).mean() < 0.12
@@ -356,7 +374,7 @@ def slow_ks_test(sample, cdf):
     ordered = sorted(float(v) for v in np.asarray(sample))
     d_stat = 0.0
     for i, value in enumerate(ordered):
-        f = cdf(value)
+        f = float(cdf(value))
         gap_high = (i + 1) / n - f
         gap_low = f - i / n
         if gap_high > d_stat:
@@ -367,17 +385,17 @@ def slow_ks_test(sample, cdf):
 
 
 def clipped_uniform_cdf(v):
-    return min(1.0, max(0.0, v))
+    return np.clip(v, 0.0, 1.0)
 
 
 def partly_undefined_cdf(v):
     # NaN above 0.7: the running maximum skips NaN gaps.
-    return math.nan if v > 0.7 else 0.9 * v
+    return np.where(v > 0.7, math.nan, 0.9 * v)
 
 
 def undefined_cdf(v):
     # Every gap is NaN, so the running maximum stays at its start, 0.0.
-    return math.nan
+    return np.full(np.shape(v), math.nan)
 
 
 @pytest.mark.parametrize("n", [10, 11, 257, 1000])
@@ -396,3 +414,19 @@ def test_ks_test_matches_element_loop(n):
             statistic, p_value = slow_ks_test(sample, cdf)
             assert (report.statistic, report.p_value) == (statistic, p_value)
             assert math.copysign(1.0, report.statistic) == math.copysign(1.0, statistic)
+
+
+def test_ks_test_calls_its_cdf_once_on_the_sorted_sample():
+    sample = np.random.default_rng(9).normal(size=50)
+    calls = []
+
+    def recording_cdf(values):
+        calls.append(values.copy())
+        return standard_normal_cdf(values)
+
+    report = ks_test(list(sample), recording_cdf)
+    assert len(calls) == 1 and calls[0].dtype == np.float64
+    assert calls[0].tobytes() == np.sort(sample, kind="stable").tobytes()
+    assert report == ks_test(sample, standard_normal_cdf)
+    with pytest.raises(ValueError, match="one value per sample element"):
+        ks_test(sample, lambda values: 0.5)
