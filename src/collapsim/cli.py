@@ -260,6 +260,7 @@ def run_lattice_batch(params: dict) -> list:
         raise ConfigError(
             f"lattice-batch needs runs >= 50 for a meaningful uniformity test, got {params['runs']}"
         )
+    _lattice_config(params)  # bad model parameters fail before the ranges are sized
     return _batch_reports(_fan_out(_lattice_batch_worker, params), params)
 
 
@@ -325,6 +326,7 @@ def run_qmupl_run(params: dict) -> list:
 def run_qmupl_batch(params: dict) -> list:
     if params["runs"] < 2:
         raise ConfigError(f"qmupl-batch needs runs >= 2, got {params['runs']}")
+    _qmupl_config(params)  # bad model parameters fail before the ranges are sized
     return _batch_reports(_fan_out(_qmupl_batch_worker, params), params)
 
 

@@ -63,13 +63,12 @@ the order that fixes the artifacts' bytes.
 
 Runs differ only in their draws, so :func:`run_forward` also takes a
 sequence of R streams, and :func:`run_backward` the R conjugated final
-states of such a batch; the records then carry a leading runs axis.  A
-batch of vacuum and one-particle runs is one pass over an ``(n + 1, R)``
-compact array, with numpy over runs: each run draws its uniforms one per
-link in event order from its own stream, and its norm is still one
-``np.vdot`` over its row of an ``(R, 2**n)`` dense array.  Every run's
-bytes are those of its one-run call, which is such a pass with R = 1.
-Other states pass one run per call, on the views.
+states of such a batch; the records then carry a leading runs axis.  A lone
+stream or state is a batch of one, and a batch of more than one run starts
+in the vacuum and one-particle sectors.  Such a batch is one pass over an
+``(n + 1, R)`` compact array with numpy over runs, each run drawing from its
+own stream and normalized by its own ``np.vdot``, so every run's bytes are
+those of its one-run call.
 """
 
 from __future__ import annotations
@@ -205,11 +204,6 @@ def pattern_to_index(pattern: Sequence[int]) -> int:
             raise DimensionError(f"occupancy bits must be 0 or 1, got {bit!r}")
         index |= int(bit) << position
     return index
-
-
-def index_to_pattern(index: int, n_columns: int) -> tuple[int, ...]:
-    """Inverse of :func:`pattern_to_index`."""
-    return tuple((index >> p) & 1 for p in range(n_columns))
 
 
 def build_basis_state(pattern: Sequence[int]) -> QuantumState:
@@ -393,9 +387,9 @@ def _check_run_inputs(config: LatticeConfig, state: QuantumState, role: str) -> 
 
 
 class _ViewKernels:
-    """The pass's kernels on views of the dense vector.
+    """The pass's kernels on views of the dense vector of a batch of one run.
 
-    They serve every state with weight outside the vacuum and one-particle
+    They serve a state with weight outside the vacuum and one-particle
     sectors; each kernel's views, factor patterns and constants are built
     once per pass.  A vertex mixes the two block views of its columns.  A
     jump is one multiply of a float view by its column's factor pattern
@@ -407,6 +401,7 @@ class _ViewKernels:
     def __init__(self, config: LatticeConfig, amps: np.ndarray):
         n = config.n_columns
         self.amps = amps
+        self.dense_rows = [amps]
         self.vertex = _vertex_constants(config.theta)
         self.blocks = [_vertex_blocks(amps, n, column) for column in range(1, n + 1)]
         self.jumps = [_jump_operands(amps, n, column, config.collapse_x) for column in range(1, n + 1)]
@@ -415,10 +410,10 @@ class _ViewKernels:
     def apply_vertex(self, slot: int) -> None:
         _vertex_inplace(*self.blocks[slot], *self.vertex)
 
-    def collapse(self, slot: int, alpha: int) -> None:
-        """Apply jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
+    def collapse(self, slot: int, alpha: np.ndarray) -> None:
+        """Apply the run's jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
         view, factors = self.jumps[slot]
-        view *= factors[alpha]
+        view *= factors[alpha.item()]
         self.amps *= _reciprocal_norm(self.amps)
 
     def occupancy(self, slot: int) -> float:
@@ -504,26 +499,25 @@ def _in_particle_sectors(amps: np.ndarray) -> bool:
     return not (nonzero & (nonzero - 1)).any()
 
 
-def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False, runs: tuple = ()):
+def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool, runs: int):
     """Walk the runs' events with ``kernels``, in forward or reversed order.
 
     Forward, each step sweeps its vertices left to right: the vertex, then
     its left link, then its right link.  At a link the Born weight of
-    ``alpha = 1`` is evaluated, ``alpha_at(t, slot, p_one)`` gives the field
-    value, the jump is applied and the state renormalized.  Returns the
-    field, the per-link probabilities and the occupancies sampled after each
-    jump, of shape ``(*runs, steps, n)``: ``runs`` is ``(R,)`` for the
-    particle kernels and ``()`` for the view kernels.  The kernels' dense
-    vectors hold the final states.
+    ``alpha = 1`` is evaluated for every run, ``alpha_at(t, slot, p_one)``
+    gives the runs' field values, the jumps are applied and the states
+    renormalized.  Returns the field, the per-link probabilities and the
+    occupancies sampled after each jump, of shape ``(runs, steps, n)``: a
+    lone run is a batch of one, and a batch of more than one run is on the
+    particle kernels.  The kernels' dense rows hold the final states.
     """
-    n = config.n_columns
     x = config.collapse_x
     events = []
     for t in range(config.steps):
         for k in range(1, config.n_vertices + 1):
             left, right = vertex_columns(t, k, config.n_vertices)
             events += ((t, left - 1, False), (t, left - 1, True), (t, right - 1, True))
-    shape = (*runs, config.steps, n)
+    shape = (runs, config.steps, config.n_columns)
     field = np.empty(shape, dtype=np.uint8)
     probabilities = np.empty(shape)
     occupancy = np.empty(shape)
@@ -532,46 +526,48 @@ def _pass(config: LatticeConfig, kernels, alpha_at, backward: bool = False, runs
             kernels.apply_vertex(slot)
             continue
         p_one = _link_probability(kernels.occupancy(slot), x)
-        field[..., t, slot] = alpha = alpha_at(t, slot, p_one)
+        field[:, t, slot] = alpha = alpha_at(t, slot, p_one)
         kernels.collapse(slot, alpha)
-        probabilities[..., t, slot] = p_one
-        occupancy[..., t, slot] = kernels.occupancy(slot)
+        probabilities[:, t, slot] = p_one
+        occupancy[:, t, slot] = kernels.occupancy(slot)
     kernels.finish()
     return field, probabilities, occupancy
 
 
-def _particle_runs(config: LatticeConfig, starts: list, alpha_at, backward: bool = False):
-    """One pass of vacuum or one-particle ``starts`` together.
-
-    Returns the field, probabilities and occupancies by run and the list of
-    final states.
-    """
-    kernels = _ParticleKernels(config, starts)
-    arrays = _pass(config, kernels, alpha_at, backward, (len(starts),))
-    return (*arrays, [QuantumState(amps) for amps in kernels.dense_rows])
-
-
-def _view_run(config: LatticeConfig, start: np.ndarray, alpha_at, backward: bool = False):
-    """One pass of one ``start`` through view kernels on a copy of it."""
-    amps = start.copy()
-    arrays = _pass(config, _ViewKernels(config, amps), alpha_at, backward)
-    return (*arrays, QuantumState(amps))
-
-
-def _first_run(record: LatticeRunRecord, finals: list) -> tuple[LatticeRunRecord, QuantumState]:
-    """The one run of a one-run batch, without its runs axis."""
-    field = StochasticField(record.field.alpha[0])
-    return LatticeRunRecord(field, record.probabilities[0], record.occupancy[0]), finals[0]
-
-
-def _check_batch(runs: int, starts: list) -> None:
+def _as_batch(runs, lone_type: type) -> tuple[list, bool]:
+    """``runs`` as a list of runs, and whether it was one lone ``lone_type`` run."""
+    lone = isinstance(runs, lone_type)
+    runs = [runs] if lone else list(runs)
     if not runs:
         raise DimensionError("a batch of runs needs at least one run")
-    if not all(map(_in_particle_sectors, starts)):
+    return runs, lone
+
+
+def _batch(config: LatticeConfig, starts: list, alpha_at, backward: bool = False):
+    """One pass of ``starts`` together: :func:`_pass`'s arrays and the list of final states.
+
+    Vacuum and one-particle starts pass on the particle kernels and a lone
+    other start on the view kernels, over a copy of it; anything else
+    raises.  The starts of a forward batch are one shared state, checked once.
+    """
+    if all(map(_in_particle_sectors, starts if backward else starts[:1])):
+        kernels = _ParticleKernels(config, starts)
+    elif len(starts) == 1:
+        kernels = _ViewKernels(config, starts[0].copy())
+    else:
         raise InvalidStateError(
             "a batch of runs starts in the vacuum and one-particle sectors; "
             "pass other states one run at a time"
         )
+    arrays = _pass(config, kernels, alpha_at, backward, len(starts))
+    return arrays, [QuantumState(amps) for amps in kernels.dense_rows]
+
+
+def _result(field: StochasticField, probabilities, occupancy, finals: list, lone: bool):
+    """The record and final states of a batch, or of its one run without the runs axis."""
+    if lone:
+        return LatticeRunRecord(field, probabilities[0], occupancy[0]), finals[0]
+    return LatticeRunRecord(field, probabilities, occupancy), finals
 
 
 def run_forward(
@@ -586,27 +582,18 @@ def run_forward(
     ``r`` drawing from stream ``r``, one uniform per link in event order.
     The record's arrays then have shape ``(R, steps, n_columns)`` and the
     final states come as a list; row ``r`` is bit for bit what stream ``r``
-    alone gives.  The runs pass together, with numpy over runs and one
-    ``np.vdot`` norm per run, so a batch must start in the vacuum and
-    one-particle sectors; a one-run call from there is such a batch of one.
+    alone gives.  A lone stream is a batch of one, and a batch of more than
+    one run starts in the vacuum and one-particle sectors.
     """
     _check_run_inputs(config, initial, "initial")
-    amps = initial.amplitudes
-    if isinstance(rng, PrngStream):
-        if _in_particle_sectors(amps):
-            return _first_run(*run_forward(config, initial, [rng]))
-        field, probabilities, occupancy, final = _view_run(
-            config, amps, lambda t, slot, p_one: 1 if rng.uniform() < p_one else 0
-        )
-        return LatticeRunRecord(StochasticField(field), probabilities, occupancy), final
-    uniforms = [stream.uniform for stream in rng]
-    _check_batch(len(uniforms), [amps])
-    field, probabilities, occupancy, finals = _particle_runs(
+    streams, lone = _as_batch(rng, PrngStream)
+    uniforms = [stream.uniform for stream in streams]
+    (alpha, probabilities, occupancy), finals = _batch(
         config,
-        [amps] * len(uniforms),
+        [initial.amplitudes] * len(uniforms),
         lambda t, slot, p_one: np.array([uniform() for uniform in uniforms]) < p_one,
     )
-    return LatticeRunRecord(StochasticField(field), probabilities, occupancy), finals
+    return _result(StochasticField(alpha[0] if lone else alpha), probabilities, occupancy, finals, lone)
 
 
 def run_backward(
@@ -626,33 +613,21 @@ def run_backward(
 
     A batch replays a ``(R, steps, n_columns)`` field, such as a batched
     :func:`run_forward` records, from a sequence of R conjugated final
-    states in the vacuum and one-particle sectors, and returns a record by
-    run and a list of states; row ``r`` is bit for bit what run ``r`` alone
-    gives.
+    states, and returns a record by run and a list of states; row ``r`` is
+    bit for bit what run ``r`` alone gives.  A lone state is a batch of
+    one, and a batch of more than one run starts in the vacuum and
+    one-particle sectors.
     """
-    if isinstance(final_state, QuantumState):
-        _check_run_inputs(config, final_state, "final")
-        _check_field(config, field, ())
-        amps = final_state.amplitudes
-        if _in_particle_sectors(amps):
-            return _first_run(*run_backward(config, StochasticField(field.alpha[None]), [final_state]))
-        _, probabilities, occupancy, final = _view_run(
-            config, amps, lambda t, slot, p_one: int(field.alpha[t, slot]), backward=True
-        )
-        return LatticeRunRecord(field, probabilities, occupancy), final
-    states = list(final_state)
-    starts = [state.amplitudes for state in states]
-    _check_batch(len(states), starts)
+    states, lone = _as_batch(final_state, QuantumState)
     for state in states:
         _check_run_inputs(config, state, "final")
-    _check_field(config, field, (len(starts),))
-    _, probabilities, occupancy, finals = _particle_runs(
-        config, starts, lambda t, slot, p_one: field.alpha[:, t, slot], backward=True
-    )
-    return LatticeRunRecord(field, probabilities, occupancy), finals
-
-
-def _check_field(config: LatticeConfig, field: StochasticField, runs: tuple) -> None:
-    expected = (*runs, config.steps, config.n_columns)
+    # A lone state's field has no runs axis.
+    expected = (len(states), config.steps, config.n_columns)[lone:]
     if field.alpha.shape != expected:
         raise DimensionError(f"field shape {field.alpha.shape} does not match config {expected}")
+    alpha = field.alpha.reshape(len(states), config.steps, config.n_columns)
+    starts = [state.amplitudes for state in states]
+    (_, probabilities, occupancy), finals = _batch(
+        config, starts, lambda t, slot, p_one: alpha[:, t, slot], backward=True
+    )
+    return _result(field, probabilities, occupancy, finals, lone)

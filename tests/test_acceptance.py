@@ -34,7 +34,6 @@ from collapsim.lattice import (
     apply_jump,
     apply_vertex,
     conjugate,
-    index_to_pattern,
     link_collapse_probability,
     normalize,
     occupancy_expectation,
@@ -113,7 +112,7 @@ def test_criterion_01_exact_algebra(capsys):
         (
             float(weights[index])
             for index in range(dim)
-            if sum(index_to_pattern(index, 6)) != 1
+            if index.bit_count() != 1
         ),
         default=0.0,
     )

@@ -559,13 +559,22 @@ def test_run_settings_are_checked_before_running(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_invalid_model_parameter_is_a_config_error(tmp_path, capsys):
-    rc = run_cli(
-        "--experiment", "lattice-run", "--out", tmp_path, "--seed", "1",
-        "--lattice-n", "7",
-    )
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--experiment", "lattice-run", "--lattice-n", "7"), "n_columns must be even and within 2..16, got 7"),
+        # The batches size their ranges from the model parameters, so they
+        # must be checked before that.
+        (("--experiment", "lattice-batch", "--lattice-n", "-2"), "n_columns must be even and within 2..16, got -2"),
+        (("--experiment", "qmupl-batch", "--n-steps", "0"), "n must lie in 1..100000, got 0"),
+    ],
+    ids=["lattice-run", "lattice-batch", "qmupl-batch"],
+)
+def test_invalid_model_parameter_is_a_config_error(tmp_path, capsys, flags, message):
+    rc = run_cli(*flags, "--out", tmp_path, "--seed", "1")
     assert rc == 2
-    assert capsys.readouterr().err
+    assert f"collapsim: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from collapsim.lattice import (
     apply_vertex,
     build_basis_state,
     conjugate,
-    index_to_pattern,
     link_collapse_probability,
     normalize,
     occupancy_expectation,
@@ -50,7 +49,7 @@ def random_state(n_columns: int, np_rng: np.random.Generator) -> QuantumState:
 def test_pattern_index_round_trip():
     for pattern in itertools.product((0, 1), repeat=4):
         index = pattern_to_index(pattern)
-        assert index_to_pattern(index, 4) == pattern
+        assert tuple((index >> p) & 1 for p in range(4)) == pattern
 
 
 def test_basis_state_occupancies():
@@ -712,23 +711,18 @@ def _kernel_run(config, amplitudes, make_kernels, field=None, backward=False, se
     field, probabilities, occupancy and final amplitudes.
     """
     amps = amplitudes.copy()
-    if make_kernels is _ParticleKernels:
-        kernels, runs = _ParticleKernels(config, [amps]), (1,)
-    else:
-        kernels, runs = _ViewKernels(config, amps), ()
+    kernels = make_kernels(config, [amps] if make_kernels is _ParticleKernels else amps)
     if field is None:
         rng = PrngStream(seed)
 
         def alpha_at(t, slot, p_one):
-            return rng.uniform() < p_one
+            return np.array([rng.uniform()]) < p_one
     else:
         def alpha_at(t, slot, p_one):
-            return field[t, slot]
+            return field[t, slot, None]
 
-    arrays = _pass(config, kernels, alpha_at, backward, runs)
-    if runs:
-        return tuple(array[0] for array in arrays) + (kernels.dense[0],)
-    return arrays + (amps,)
+    arrays = _pass(config, kernels, alpha_at, backward, 1)
+    return tuple(array[0] for array in arrays) + (kernels.dense_rows[0],)
 
 
 def _two_particle_state(n_columns, np_rng):
@@ -856,12 +850,29 @@ def test_dispatch_takes_particle_kernels_only_for_small_sectors(monkeypatch):
     for amps in (_two_particle_state(8, np_rng), random_state(8, np_rng).amplitudes, wide):
         assert not _in_particle_sectors(amps)
         record, final = run_forward(config, QuantumState(amps), PrngStream(3))
-        run_backward(config, record.field, conjugate(final))
-        # Such starts pass one run per call, on the views.
+        back, recovered = run_backward(config, record.field, conjugate(final))
+        # Such starts pass one run per call, on the views: a lone stream or
+        # state and a sequence of one give the same bytes.
+        batch, finals = run_forward(config, QuantumState(amps), [PrngStream(3)])
+        batch_back, batch_recovered = run_backward(config, batch.field, [conjugate(finals[0])])
+        pairs = [
+            (batch.field.alpha[0], record.field.alpha),
+            (batch.probabilities[0], record.probabilities),
+            (batch.occupancy[0], record.occupancy),
+            (finals[0].amplitudes, final.amplitudes),
+            (batch_back.probabilities[0], back.probabilities),
+            (batch_back.occupancy[0], back.occupancy),
+            (batch_recovered[0].amplitudes, recovered.amplitudes),
+        ]
+        for batched, alone in pairs:
+            assert batched.shape == alone.shape
+            assert batched.tobytes() == alone.tobytes()
         with pytest.raises(InvalidStateError, match="one run at a time"):
             run_forward(config, QuantumState(amps), streams)
+        # Every start of a backward batch is checked, not only the first.
+        mixed = [QuantumState(_particle_start("particle", 8)), conjugate(final)]
         with pytest.raises(InvalidStateError, match="one run at a time"):
-            run_backward(config, StochasticField(record.field.alpha[None]), [conjugate(final)])
+            run_backward(config, StochasticField(np.stack([record.field.alpha] * 2)), mixed)
     assert built == [2, 2, 1] * 3
 
 
