@@ -9,11 +9,12 @@ Each experiment runs once per seed (default: seed 1) at the small sizes of
 vacuum and one-particle sectors, so none of them runs the dense pass; one
 more line per seed, ``<sha256>  <seed>/dense-pass/width-8``, digests a
 width-8 forward and backward pass from a state with weight in every sector
-(see ``dense_pass_digest``).  A last line per seed,
-``<sha256>  <seed>/qmupl-ranges/pvalues.csv``, digests the p-values of
-``QMUPL_RANGES``, a serial ``qmupl-batch`` long enough to span several
-back-solve ranges, so a change that moves the range edges shows there if it
-moves any row.  The byte-identical replay criterion
+(see ``dense_pass_digest``).  Two last lines per seed,
+``<sha256>  <seed>/<name>/pvalues.csv``, digest the p-values of the serial
+``qmupl-batch`` runs of ``QMUPL_BATCHES``: ``qmupl-ranges`` is long enough to
+span several back-solve ranges, so a change that moves the range edges shows
+there if it moves any row, and ``qmupl-narrow``'s 4000-step ranges of 32 and
+18 runs all take the scalar back-solve.  The byte-identical replay criterion
 (criterion 12 in ``tests/test_acceptance.py``) imports ``SMALL_RUNS`` and
 ``digest_lines`` from here and compares two listings.  The script imports
 only the standard library, numpy and the public names of ``collapsim``, so
@@ -53,8 +54,13 @@ SMALL_RUNS = {
 }
 
 
-# A serial qmupl-batch at the default 1000 steps that spans several ranges.
-QMUPL_RANGES = ("--experiment", "qmupl-batch", "--runs", "300", "--n-steps", "1000", "--workers", "1")
+# Serial qmupl-batch runs whose p-values are digested: one at the default
+# 1000 steps that spans several ranges, and one whose ranges are all narrower
+# than the back-solve's array loop.
+QMUPL_BATCHES = {
+    "qmupl-ranges": ("--runs", "300", "--n-steps", "1000"),
+    "qmupl-narrow": ("--runs", "50", "--n-steps", "4000"),
+}
 
 
 def dense_pass_digest(seed: int) -> str:
@@ -90,11 +96,13 @@ def digest_lines(seeds: list[str], root: Path) -> list[str]:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {path.relative_to(root).as_posix()}")
         lines.append(f"{dense_pass_digest(int(seed))}  {seed}/dense-pass/width-8")
-        out = root / seed / "qmupl-ranges"
-        if main([*QMUPL_RANGES, "--out", str(out), "--seed", seed]) != 0:
-            raise SystemExit(f"qmupl-ranges at seed {seed} failed")
-        digest = hashlib.sha256((out / "pvalues.csv").read_bytes()).hexdigest()
-        lines.append(f"{digest}  {seed}/qmupl-ranges/pvalues.csv")
+        for name, extra in QMUPL_BATCHES.items():
+            out = root / seed / name
+            argv = ["--experiment", "qmupl-batch", "--workers", "1", *extra]
+            if main([*argv, "--out", str(out), "--seed", seed]) != 0:
+                raise SystemExit(f"{name} at seed {seed} failed")
+            digest = hashlib.sha256((out / "pvalues.csv").read_bytes()).hexdigest()
+            lines.append(f"{digest}  {seed}/{name}/pvalues.csv")
     return lines
 
 

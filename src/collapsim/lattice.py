@@ -166,14 +166,6 @@ class StochasticField:
             raise DimensionError("field values must be 0 or 1")
         object.__setattr__(self, "alpha", np.ascontiguousarray(arr, dtype=np.uint8))
 
-    @property
-    def steps(self) -> int:
-        return self.alpha.shape[-2]
-
-    @property
-    def n_columns(self) -> int:
-        return self.alpha.shape[-1]
-
 
 @dataclass(frozen=True)
 class LatticeRunRecord:
@@ -183,7 +175,8 @@ class LatticeRunRecord:
     ``i``'s link at step ``t``, evaluated on the state current when that link
     was crossed (for reverse runs this conditions on everything later in
     coordinate time).  ``occupancy`` holds the column occupancy expectation
-    sampled immediately after the jump at that link.
+    sampled immediately after the jump at that link.  A batch of runs carries
+    its field, probabilities and occupancies on a leading runs axis.
     """
 
     field: StochasticField

@@ -37,8 +37,6 @@ _MANIFEST_NAME = "manifest.jsonl"
 
 def format_value(value) -> str:
     """Render a cell for CSV: floats via repr (round-trip exact), rest via str."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -75,12 +73,17 @@ def write_json(path: str | Path, payload: Mapping) -> None:
 
 
 def read_text(path: str | Path) -> str:
-    """Read an input file as UTF-8; other bytes raise ``ConfigError`` naming their offset."""
+    """Read an input file as UTF-8; other bytes raise ``ConfigError`` naming their offset.
+
+    One leading byte-order mark is dropped.  The ``utf-8-sig`` codec would
+    drop it too, but would count the offset from after the mark.
+    """
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -229,7 +229,10 @@ def reverse_trajectory(
 # Fewest runs for which the back-solve's step loop runs on arrays.  Its nine
 # ufunc calls per step, on strided columns, cost about as much as this many
 # runs of the scalar loop do: the two paths took equal time at 30 to 40 runs
-# in timeit runs at 200 and 1000 steps.
+# in timeit runs at 200 and 1000 steps.  Lone runs and the narrow ranges of
+# long --n-steps batches take the scalar loop (qmupl-batch's range cap gives
+# 12 runs per range at 10 000 steps and 1 at 100 000); on arrays they would
+# pay the nine ufunc calls per step for a handful of runs.
 _ARRAY_RUNS = 35
 
 

@@ -393,6 +393,20 @@ def test_config_file_errors_carry_file_and_line(tmp_path, capsys):
     assert "bad.cfg: not UTF-8 text (byte 27)" in capsys.readouterr().err
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    text = b"experiment=qmupl-run\nseed=9\nn_steps=50\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert run_cli("--config", plain, "--out", tmp_path / "plain") == 0
+    assert run_cli("--config", marked, "--out", tmp_path / "marked") == 0
+    assert artifact_bytes(tmp_path / "marked") == artifact_bytes(tmp_path / "plain")
+    # The offset of a later bad byte counts the mark's three bytes.
+    marked.write_bytes(b"\xef\xbb\xbfseed=3\n\xe9\n")
+    assert run_cli("--config", marked, "--out", tmp_path / "bad") == 2
+    assert "marked.cfg: not UTF-8 text (byte 10)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["experiment=lattice-rn", "initial=wave"])
 def test_config_file_choice_errors_carry_file_and_line(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
@@ -606,16 +620,19 @@ def test_prng_driven_artifacts_match_golden_digests(tmp_path):
 
     These three experiments are functions of the PRNG's draws and call no
     BLAS, so ``golden/artifact_digests.json`` holds their digests from
-    ``scripts/artifact_digests.py 1 123`` on any host.  The lattice and
-    Markov artifacts are left out, because their bytes depend on the host's
-    OpenBLAS kernel.  A change that declares a byte change to these
+    ``scripts/artifact_digests.py 1 123`` on any host, with those of its two
+    serial ``qmupl-batch`` lines, ``qmupl-ranges`` and ``qmupl-narrow``.  The
+    lattice and Markov artifacts are left out, because their bytes depend on
+    the host's OpenBLAS kernel.  A change that declares a byte change to these
     experiments regenerates the file from the script's lines for them.
     """
     golden = json.loads((GOLDEN / "artifact_digests.json").read_text())
     digests = {}
     for line in digest_lines(["1", "123"], tmp_path):
         digest, path = line.split("  ")
-        if path.split("/")[1] in ("qmupl-run", "qmupl-batch", "energy-demo"):
+        if path.split("/")[1] in (
+            "qmupl-run", "qmupl-batch", "energy-demo", "qmupl-ranges", "qmupl-narrow"
+        ):
             digests[path] = digest
     assert digests == golden
 

@@ -117,6 +117,8 @@ _PAIR = build_basis_state((1, 0))
         (lambda: apply_jump(_PAIR, 0, 1, 0.5), DimensionError),
         (lambda: apply_jump(_PAIR, 1, 2, 0.5), DimensionError),
         (lambda: apply_jump(_PAIR, 1, 1, 1.5), ConfigError),
+        (lambda: link_collapse_probability(_PAIR, 1, 1.5), ConfigError),
+        (lambda: link_collapse_probability(_PAIR, 1, math.nan), ConfigError),
         (lambda: occupancy_expectation(_PAIR, 3), DimensionError),
         (lambda: occupancy_expectation(QuantumState(np.zeros(4)), 1), InvalidStateError),
         (lambda: vertex_columns(-1, 1, 3), DimensionError),
@@ -125,6 +127,7 @@ _PAIR = build_basis_state((1, 0))
     ],
     ids=[
         "bad-bit", "vertex-column", "jump-column", "jump-alpha", "jump-x",
+        "probability-x", "probability-x-nan",
         "occupancy-column", "occupancy-zero-state", "negative-step",
         "vertex-zero", "vertex-past-ring",
     ],
@@ -141,6 +144,28 @@ def test_runs_check_the_state_they_start_from():
     unnormalized = QuantumState(2.0 * single_particle_state(4, 2).amplitudes)
     with pytest.raises(InvalidStateError, match="final state must be normalized"):
         run_backward(config, StochasticField(np.zeros((2, 4))), unnormalized)
+
+
+def _two_pair_state() -> QuantumState:
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[[pattern_to_index((1, 1, 0, 0)), pattern_to_index((0, 0, 1, 1))]] = 1.0
+    return normalize(QuantumState(amps))
+
+
+@pytest.mark.parametrize(
+    "start, particle_kernels",
+    [(lambda: single_particle_state(4, 1), True), (_two_pair_state, False)],
+    ids=["particle-kernels", "view-kernels"],
+)
+def test_backward_pass_raises_when_the_state_collapses_to_zero(start, particle_kernels):
+    # At X = 0 the jump J(1) keeps only the amplitudes whose column is
+    # occupied.  Neither start holds four particles, and the pass conserves
+    # particle number, so an all-ones field leaves nothing to renormalize.
+    config = LatticeConfig(n_columns=4, collapse_x=0.0, theta=math.pi / 2, steps=1)
+    state = start()
+    assert _in_particle_sectors(state.amplitudes) == particle_kernels
+    with pytest.raises(InvalidStateError, match="state collapsed to zero norm"):
+        run_backward(config, StochasticField(np.ones((1, 4))), state)
 
 
 def test_brickwork_pairing():
