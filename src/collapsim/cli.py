@@ -182,9 +182,21 @@ _lattice_batch_worker.range_cap = lambda params: (1 << 18) >> params["lattice_n"
 
 
 def _qmupl_batch_worker(task) -> list[tuple]:
-    config, _, _, back = _qmupl_range_reversal(task)
+    """The rows of a range: runs forward, one back-solve over all of them, a KS test each."""
+    start, stop, seed, params = task
+    config = _qmupl_config(params)
+    root = PrngStream(seed)
+    record = np.empty((stop - start, config.n))
+    x_n = np.empty(stop - start)
+    p_n = np.empty(stop - start)
+    for row, index in enumerate(range(start, stop)):
+        trajectory = simulate_forward(config, root.split(index))
+        record[row] = trajectory.z
+        x_n[row] = trajectory.x[-1]
+        p_n[row] = trajectory.p[-1]
+    back = reverse_trajectory(record, x_n, p_n, config)
     rows = []
-    for index, increments in zip(range(task[0], task[1]), back.dB):
+    for index, increments in zip(range(start, stop), back.dB):
         try:
             report = normality_test(increments, config.dt)
             rows.append((index, report.statistic, None, report.p_value))
@@ -282,27 +294,6 @@ def _require_finite(what: str, *series: np.ndarray) -> None:
     bad = [int(np.argmin(finite)) for finite in map(np.isfinite, series) if not finite.all()]
     if bad:
         raise ConfigError(f"{what} is not finite at step {min(bad)}: the parameters overflow")
-
-
-def _qmupl_range_reversal(task) -> tuple:
-    """Back-solves of the batch runs ``start .. stop - 1`` of a range task.
-
-    Each forward run keeps only its record and end point; one call then
-    back-solves them all.  Returns the config, the end points ``x_n`` and
-    ``p_n`` and the back-solve, each indexed by run within the range.
-    """
-    start, stop, seed, params = task
-    config = _qmupl_config(params)
-    root = PrngStream(seed)
-    record = np.empty((stop - start, config.n))
-    x_n = np.empty(stop - start)
-    p_n = np.empty(stop - start)
-    for row, index in enumerate(range(start, stop)):
-        trajectory = simulate_forward(config, root.split(index))
-        record[row] = trajectory.z
-        x_n[row] = trajectory.x[-1]
-        p_n[row] = trajectory.p[-1]
-    return config, x_n, p_n, reverse_trajectory(record, x_n, p_n, config)
 
 
 def run_qmupl_run(params: dict) -> list:

@@ -162,7 +162,7 @@ class StochasticField:
             raise DimensionError(
                 f"field must have shape (steps, n_columns) or (runs, steps, n_columns), got {arr.shape}"
             )
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise DimensionError("field values must be 0 or 1")
         object.__setattr__(self, "alpha", np.ascontiguousarray(arr, dtype=np.uint8))
 
@@ -375,7 +375,7 @@ def _check_run_inputs(config: LatticeConfig, state: QuantumState, role: str) -> 
         raise DimensionError(
             f"{role} state has {state.n_columns} columns, config expects {config.n_columns}"
         )
-    if abs(state.norm_squared - 1.0) > 1e-8:
+    if not abs(state.norm_squared - 1.0) <= 1e-8:
         raise InvalidStateError(f"{role} state must be normalized, |psi|^2 = {state.norm_squared}")
 
 

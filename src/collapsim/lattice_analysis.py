@@ -113,7 +113,7 @@ def reversal_chi_squared(
         raise DimensionError(
             f"probabilities shape {probs.shape} does not match field shape {field.alpha.shape}"
         )
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ConfigError("probabilities must lie in [0, 1]")
     flat_p = probs.ravel()
     flat_alpha = field.alpha.ravel().astype(np.int64)
@@ -187,7 +187,7 @@ def pvalue_uniformity(p_values: Sequence[float]) -> UniformityReport:
     values = np.asarray(p_values, dtype=float)
     if values.ndim != 1 or values.size < 10:
         raise DegenerateTestError(f"need at least 10 p-values, got shape {values.shape}")
-    if values.min() < 0.0 or values.max() > 1.0:
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ConfigError("p-values must lie in [0, 1]")
     bin_count = 20 if values.size >= 100 else max(2, values.size // 10)
     expected = values.size / bin_count

@@ -58,7 +58,7 @@ def write_pgm(path: str | Path, values: np.ndarray) -> None:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError(f"image must be a nonempty 2-d array, got shape {grid.shape}")
-    if grid.min() < 0.0 or grid.max() > 1.0:
+    if not (grid.min() >= 0.0 and grid.max() <= 1.0):
         raise ValueError("image values must lie in [0, 1]")
     pixels = np.rint(255.0 * (1.0 - grid)).astype(np.uint8)
     height, width = pixels.shape

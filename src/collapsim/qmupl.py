@@ -167,12 +167,14 @@ def reverse_trajectory(
 
     One call also back-solves a batch: a ``(runs, n)`` record with ``(runs,)``
     end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
-    bit for bit what row ``r`` alone gives.  From ``_ARRAY_RUNS`` runs on the
-    loop runs over steps, with numpy over runs: step ``i`` reads column ``i``
-    of the record and writes column views of the run-major result arrays, so
-    a batch holds its record and these three arrays and no other copy.  A
-    narrower batch, one run included, loops over each run's steps on Python
-    floats.
+    bit for bit what row ``r`` alone gives.  Both back-solve widths fill one
+    result, run-major ``(runs, n + 1)`` arrays ``x`` and ``p`` and a
+    ``(runs, n)`` array ``dB``, so a batch holds its record and these three
+    arrays and no other copy.  From ``_ARRAY_RUNS`` runs on the loop runs
+    over steps, with numpy over runs: step ``i`` reads column ``i`` of the
+    record and writes column views of the result.  A narrower batch, one run
+    included, loops over each run's steps on Python floats and writes a row
+    per run.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
@@ -186,10 +188,10 @@ def reverse_trajectory(
             f"end points must have shape {runs}, got {x_end.shape} and {p_end.shape}"
         )
     record = centres.reshape(-1, n)
+    xs = np.empty((record.shape[0], n + 1))
+    ps = np.empty_like(xs)
+    steps = np.empty(record.shape)
     if record.shape[0] < _ARRAY_RUNS:
-        xs = np.empty((record.shape[0], n + 1))
-        ps = np.empty_like(xs)
-        steps = np.empty((record.shape[0], n))
         anchors = zip(record, x_end.ravel().tolist(), p_end.ravel().tolist())
         for row, (centres_row, x, p) in enumerate(anchors):
             # The back-solve marches from the anchor with the increments it
@@ -197,33 +199,29 @@ def reverse_trajectory(
             increments = np.fromiter(_back_solve(centres_row.tolist(), x, p, config), float, n)
             march_x, march_p = _march(x, -p, increments, config)
             xs[row], ps[row], steps[row] = march_x[::-1], march_p[::-1], increments[::-1]
-        return WavePacketTrajectory(
-            x=xs.reshape(*runs, -1), p=ps.reshape(*runs, -1), z=centres, dB=steps.reshape(*runs, -1)
-        )
-    m, dt = config.m, config.dt
-    sqrt_m = math.sqrt(m)
-    g_dt = config.g * dt
-    half_g = 0.5 * config.g
-    # Run-major arrays, so the step loop reads and writes one column of each.
-    xs = np.empty((record.shape[0], n + 1))
-    ps = np.empty_like(xs)
-    steps = np.empty(record.shape)
-    xs[:, n] = x_end
-    np.negative(p_end, out=ps[:, n])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            x, p, step, x_prev, p_prev = xs[:, i + 1], ps[:, i + 1], steps[:, i], xs[:, i], ps[:, i]
-            # step = g dt (z - x); x' = x + (p / m) dt + step / sqrt(m); p' = p + (g / 2) step
-            np.subtract(record[:, i], x, out=step)
-            np.multiply(g_dt, step, out=step)
-            np.divide(p, m, out=x_prev)
-            np.multiply(x_prev, dt, out=x_prev)
-            np.add(x, x_prev, out=x_prev)
-            np.divide(step, sqrt_m, out=p_prev)
-            np.add(x_prev, p_prev, out=x_prev)
-            np.multiply(half_g, step, out=p_prev)
-            np.add(p, p_prev, out=p_prev)
-    return WavePacketTrajectory(x=xs, p=ps, z=centres, dB=steps)
+    else:
+        m, dt = config.m, config.dt
+        sqrt_m = math.sqrt(m)
+        g_dt = config.g * dt
+        half_g = 0.5 * config.g
+        xs[:, n] = x_end
+        np.negative(p_end, out=ps[:, n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n - 1, -1, -1):
+                x, p, step, x_prev, p_prev = xs[:, i + 1], ps[:, i + 1], steps[:, i], xs[:, i], ps[:, i]
+                # step = g dt (z - x); x' = x + (p / m) dt + step / sqrt(m); p' = p + (g / 2) step
+                np.subtract(record[:, i], x, out=step)
+                np.multiply(g_dt, step, out=step)
+                np.divide(p, m, out=x_prev)
+                np.multiply(x_prev, dt, out=x_prev)
+                np.add(x, x_prev, out=x_prev)
+                np.divide(step, sqrt_m, out=p_prev)
+                np.add(x_prev, p_prev, out=x_prev)
+                np.multiply(half_g, step, out=p_prev)
+                np.add(p, p_prev, out=p_prev)
+    return WavePacketTrajectory(
+        x=xs.reshape(*runs, -1), p=ps.reshape(*runs, -1), z=centres, dB=steps.reshape(*runs, -1)
+    )
 
 
 # Fewest runs for which the back-solve's step loop runs on arrays.  Its nine

@@ -221,9 +221,9 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
@@ -239,7 +239,7 @@ def chi_squared_sf(x: float, dof: int) -> float:
     """
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"chi-squared statistic must be non-negative, got {x}")
     return regularized_gamma_q(0.5 * dof, 0.5 * x)
 
@@ -260,8 +260,11 @@ def kolmogorov_sf(lam: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     Alternating series 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lam^2), truncated
-    once terms drop below 1e-12; the result is clipped to [0, 1].
+    once terms drop below 1e-12; the result is clipped to [0, 1].  A NaN
+    ``lam`` raises ``ValueError``.
     """
+    if math.isnan(lam):
+        raise ValueError(f"Kolmogorov statistic must be a number, got {lam}")
     if lam <= 0.0:
         return 1.0
     total = 0.0

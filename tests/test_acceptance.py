@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_batch_worker, _qmupl_range_reversal
+from collapsim.cli import _fan_out, _lattice_batch_worker, _qmupl_batch_worker, _qmupl_config
 from collapsim.lattice import (
     LatticeConfig,
     QuantumState,
@@ -280,7 +280,13 @@ PINNED_TOLERANCE = 1e-9
 
 def wavepacket_runs(task):
     """A range of runs of the qmupl-batch stream: (projected KS p-value, pinned gap) each."""
-    config, x_n, p_n, back = _qmupl_range_reversal(task)
+    start, stop, seed, params = task
+    config = _qmupl_config(params)
+    root = PrngStream(seed)
+    forward = [simulate_forward(config, root.split(index)) for index in range(start, stop)]
+    x_n = np.array([trajectory.x[-1] for trajectory in forward])
+    p_n = np.array([trajectory.p[-1] for trajectory in forward])
+    back = reverse_trajectory(np.array([trajectory.z for trajectory in forward]), x_n, p_n, config)
     rows = []
     for increments, x_end, p_end in zip(back.dB, x_n, p_n):
         result = projected_normality_test(increments, x_end, p_end, config)

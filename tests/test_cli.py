@@ -131,8 +131,13 @@ def test_lattice_run_without_usable_events_reports_degenerate(tmp_path):
 
 @pytest.mark.parametrize(
     "values, message",
-    [(np.zeros(4), "nonempty 2-d"), (np.zeros((0, 3)), "nonempty 2-d"), (np.full((2, 2), 1.5), r"\[0, 1\]")],
-    ids=["one-axis", "empty", "above-one"],
+    [
+        (np.zeros(4), "nonempty 2-d"),
+        (np.zeros((0, 3)), "nonempty 2-d"),
+        (np.full((2, 2), 1.5), r"\[0, 1\]"),
+        (np.array([[0.5, math.nan]]), r"\[0, 1\]"),
+    ],
+    ids=["one-axis", "empty", "above-one", "nan"],
 )
 def test_write_pgm_rejects_bad_images(tmp_path, values, message):
     with pytest.raises(ValueError, match=message):

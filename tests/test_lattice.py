@@ -98,8 +98,16 @@ def test_config_validation():
         (np.full((3, 4), 2), "0 or 1"),
         (np.zeros((2, 3, 4, 2)), "shape"),
         (np.zeros((2, 3, 5)), "shape"),
+        (np.array([["0", "1"], ["1", "0"]]), "0 or 1"),
+        (np.array([[0, 1], [1, "1"]], dtype=object), "0 or 1"),
+        (np.full((3, 4), 0.5), "0 or 1"),
+        (np.full((3, 4), math.nan), "0 or 1"),
+        (np.full((3, 4), 1j), "0 or 1"),
     ],
-    ids=["one-axis", "no-steps", "odd-width", "non-binary", "four-axes", "batch-odd-width"],
+    ids=[
+        "one-axis", "no-steps", "odd-width", "non-binary", "four-axes", "batch-odd-width",
+        "str", "object", "float-half", "float-nan", "complex-imaginary",
+    ],
 )
 def test_field_validation(alpha, message):
     with pytest.raises(DimensionError, match=message):
@@ -144,6 +152,16 @@ def test_runs_check_the_state_they_start_from():
     unnormalized = QuantumState(2.0 * single_particle_state(4, 2).amplitudes)
     with pytest.raises(InvalidStateError, match="final state must be normalized"):
         run_backward(config, StochasticField(np.zeros((2, 4))), unnormalized)
+
+
+def test_runs_reject_a_nan_state_as_unnormalized():
+    config = LatticeConfig(n_columns=4, collapse_x=0.5, theta=0.3, steps=2)
+    amps = single_particle_state(4, 2).amplitudes.copy()
+    amps[0] = math.nan
+    with pytest.raises(InvalidStateError, match="initial state must be normalized"):
+        run_forward(config, QuantumState(amps), PrngStream(1))
+    with pytest.raises(InvalidStateError, match="final state must be normalized"):
+        run_backward(config, StochasticField(np.zeros((2, 4))), QuantumState(amps))
 
 
 def _two_pair_state() -> QuantumState:

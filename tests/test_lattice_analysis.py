@@ -133,7 +133,7 @@ def test_chi_squared_shape_mismatch():
         reversal_chi_squared(field, probs[:, :5])
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.0 + 2**-52])
+@pytest.mark.parametrize("bad", [-0.1, 1.0 + 2**-52, math.nan])
 def test_chi_squared_rejects_probabilities_outside_unit_interval(bad):
     field, probs = _uniform_half_field(50)
     probs[3, 4] = bad
@@ -205,6 +205,13 @@ def test_pvalue_uniformity_needs_enough_data():
         pvalue_uniformity([0.5] * 5)
     with pytest.raises(ConfigError):
         pvalue_uniformity([1.5] * 100)
+
+
+def test_pvalue_uniformity_rejects_a_nan_p_value():
+    values = np.linspace(0.0, 1.0, 100)
+    values[7] = math.nan
+    with pytest.raises(ConfigError, match=r"p-values must lie in \[0, 1\]"):
+        pvalue_uniformity(values)
 
 
 @pytest.mark.parametrize("size, bins", [(10, 2), (19, 2), (99, 9), (100, 20), (5000, 20)])

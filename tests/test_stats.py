@@ -276,8 +276,15 @@ def test_chi_squared_sf_against_scipy():
         (lambda: regularized_gamma_q(1.0, -1.0), "argument"),
         (lambda: chi_squared_sf(1.0, 0), "degrees of freedom"),
         (lambda: chi_squared_sf(-1.0, 1), "statistic"),
+        (lambda: regularized_gamma_q(math.nan, 1.0), "shape parameter must be positive, got nan"),
+        (lambda: regularized_gamma_q(1.0, math.nan), "argument must be non-negative, got nan"),
+        (lambda: chi_squared_sf(math.nan, 1), "statistic must be non-negative, got nan"),
+        (lambda: kolmogorov_sf(math.nan), "Kolmogorov statistic must be a number, got nan"),
     ],
-    ids=["gamma-shape", "gamma-argument", "chi-squared-dof", "chi-squared-statistic"],
+    ids=[
+        "gamma-shape", "gamma-argument", "chi-squared-dof", "chi-squared-statistic",
+        "gamma-shape-nan", "gamma-argument-nan", "chi-squared-statistic-nan", "kolmogorov-nan",
+    ],
 )
 def test_special_functions_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
