@@ -176,8 +176,8 @@ def _lattice_batch_worker(task) -> list[tuple]:
 
 # A lattice range scatters its runs into one (runs, 2**n) array of dense
 # amplitudes for the norms.  2**18 of them, 4 MB, hold 64 runs at 12
-# columns and 4 at 16; at 16 columns a range of 16 runs, whose 16 MB of rows
-# each norm sweeps, passed slower than one run at a time.
+# columns and 4 at 16.  The cap bounds memory only: at 16 columns one range
+# of 16 runs passed faster than 16 lone runs and about as fast as 4 ranges.
 _lattice_batch_worker.range_cap = lambda params: (1 << 18) >> params["lattice_n"]
 
 

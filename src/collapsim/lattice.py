@@ -50,15 +50,15 @@ pass from a vacuum or one-particle state, the starts of the command line or
 a superposition of them, runs on the ``n_columns + 1`` amplitudes of those
 two sectors: a vertex mixes two of them and an occupancy reads one, so at
 width 16 a one-particle run's vertices and occupancies touch one or two
-amplitudes, not 65,536.  The renormalizing norm stays ``np.vdot`` over the
-dense vector, into which the compact amplitudes are scattered first: the sum
-over the support alone adds in another order than the BLAS sum and moves
-the last bit of about three norms in ten.  States with two or more
+amplitudes, not 65,536.  The renormalizing norms stay BLAS sums over the
+dense vectors, into which the compact amplitudes are scattered first: the
+sum over the support alone adds in another order and moves the last bit of
+about three norms in ten.  States with two or more
 particles, like a Gaussian-random vector, run on the dense vector: a vertex
 mixes two reshaped block views, and a jump is one multiply of the vector's
 float view by a factor pattern built once per pass for each column, whose
 bit picks each amplitude's factor.  The occupancy still sums its column's
-reshaped half view with ``einsum``, and the norm is still ``np.vdot``, in
+reshaped half view with ``einsum``, and the norm is still the BLAS sum, in
 the order that fixes the artifacts' bytes.
 
 Runs differ only in their draws, so :func:`run_forward` also takes a
@@ -67,8 +67,10 @@ states of such a batch; the records then carry a leading runs axis.  A lone
 stream or state is a batch of one, and a batch of more than one run starts
 in the vacuum and one-particle sectors.  Such a batch is one pass over an
 ``(n + 1, R)`` compact array with numpy over runs, each run drawing from its
-own stream and normalized by its own ``np.vdot``, so every run's bytes are
-those of its one-run call.
+own stream.  One ``np.vecdot`` over the ``(R, 2**n)`` dense rows gives every
+run's norm: it conjugates its first argument and makes per row the BLAS
+``zdotc`` call that ``np.vdot`` makes, so every run's bytes are those of its
+one-run call.
 """
 
 from __future__ import annotations
@@ -284,14 +286,12 @@ def _occupancy(occupied: np.ndarray, norm_squared: float) -> float:
     weight = float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)) / norm_squared
     return weight if weight <= 1.0 else 1.0
 
-def _unit_scale(norm_squared: float, message: str) -> float:
-    """Reciprocal norm that rescales a state to unit norm; a zero norm raises."""
-    if not norm_squared > 0.0:
-        raise InvalidStateError(message)
-    return 1.0 / math.sqrt(norm_squared)
-
-def _reciprocal_norm(amps: np.ndarray) -> float:
-    return _unit_scale(float(np.vdot(amps, amps).real), "state collapsed to zero norm")
+def _reciprocal_norms(rows: np.ndarray) -> np.ndarray:
+    """Factors that rescale each dense row of ``(R, 2**n)`` to unit norm; a zero or NaN norm raises."""
+    norms_squared = np.vecdot(rows, rows).real
+    if not norms_squared.min() > 0.0:
+        raise InvalidStateError("state collapsed to zero norm")
+    return 1.0 / np.sqrt(norms_squared)
 
 
 def _link_probability(occ: float, x: float) -> float:
@@ -333,9 +333,9 @@ def apply_jump(state: QuantumState, i: int, alpha: int, x: float) -> QuantumStat
 
 def normalize(state: QuantumState) -> QuantumState:
     """Rescale a state to unit norm."""
-    return QuantumState(
-        state.amplitudes * _unit_scale(state.norm_squared, "cannot normalize a zero state")
-    )
+    if not state.norm_squared > 0.0:
+        raise InvalidStateError("cannot normalize a zero state")
+    return QuantumState(state.amplitudes * (1.0 / math.sqrt(state.norm_squared)))
 
 
 def occupancy_expectation(state: QuantumState, i: int) -> float:
@@ -387,14 +387,15 @@ class _ViewKernels:
     once per pass.  A vertex mixes the two block views of its columns.  A
     jump is one multiply of a float view by its column's factor pattern
     (:func:`_jump_operands`); the occupancy sums the column's occupied half
-    view with ``einsum`` and the norm is ``np.vdot``, so both add in the
-    order the artifacts' bytes follow.
+    view with ``einsum`` and the norm is :func:`_reciprocal_norms`' BLAS sum
+    over the one dense row, so both add in the order the artifacts' bytes
+    follow.
     """
 
     def __init__(self, config: LatticeConfig, amps: np.ndarray):
         n = config.n_columns
         self.amps = amps
-        self.dense_rows = [amps]
+        self.dense_rows = amps[np.newaxis]
         self.vertex = _vertex_constants(config.theta)
         self.blocks = [_vertex_blocks(amps, n, column) for column in range(1, n + 1)]
         self.jumps = [_jump_operands(amps, n, column, config.collapse_x) for column in range(1, n + 1)]
@@ -407,7 +408,7 @@ class _ViewKernels:
         """Apply the run's jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
         view, factors = self.jumps[slot]
         view *= factors[alpha.item()]
-        self.amps *= _reciprocal_norm(self.amps)
+        self.amps *= _reciprocal_norms(self.dense_rows)[0]
 
     def occupancy(self, slot: int) -> float:
         return _occupancy(self.occupied[slot], 1.0)
@@ -426,8 +427,8 @@ class _ParticleKernels:
     the column's row, the only nonzero term of the view kernels' sums,
     clamped to 1 as theirs is.  A jump scales each run's amplitudes by the
     factors of its own ``alpha``, as the view kernels scale the dense vector;
-    the norm is their dense ``np.vdot``, one per run, over that run's row of
-    a ``(R, 2**n)`` array into which the compact amplitudes are scattered.
+    the norms are their dense BLAS sum, one ``np.vecdot`` over the rows of a
+    ``(R, 2**n)`` array into which the compact amplitudes are scattered.
     Each run agrees bit for bit with the view kernels.
     """
 
@@ -441,8 +442,7 @@ class _ParticleKernels:
         # Off the support every state is zero.  A fresh +0 there drops the
         # sign a conjugated start gives those zeros, as the first jump of
         # the view kernels does.
-        self.dense = np.zeros((len(starts), 1 << n), dtype=np.complex128)
-        self.dense_rows = list(self.dense)
+        self.dense_rows = np.zeros((len(starts), 1 << n), dtype=np.complex128)
         # Where each compact amplitude goes in the flattened dense array.
         self.scatter = support[:, None] + np.arange(len(starts)) * (1 << n)
         self.diag, self.off = _vertex_constants(config.theta)
@@ -465,11 +465,7 @@ class _ParticleKernels:
         """Apply each run's jump ``J(alpha)`` on the column at ``slot`` and renormalize."""
         self.compact *= np.where(alpha, self.factors[slot][1], self.factors[slot][0])
         self.finish()
-        norms_squared = [np.vdot(row, row).real for row in self.dense_rows]
-        if not all(value > 0.0 for value in norms_squared):
-            raise InvalidStateError("state collapsed to zero norm")
-        # np.sqrt rounds correctly, as _reciprocal_norm's math.sqrt does.
-        self.compact *= 1.0 / np.sqrt(norms_squared)
+        self.compact *= _reciprocal_norms(self.dense_rows)
 
     def occupancy(self, slot: int) -> np.ndarray:
         squares = np.square(self.parts[slot], out=self.squares)
@@ -477,7 +473,7 @@ class _ParticleKernels:
         return np.minimum(weight, 1.0, out=weight)
 
     def finish(self) -> None:
-        self.dense.ravel()[self.scatter] = self.compact
+        self.dense_rows.ravel()[self.scatter] = self.compact
 
 
 def _in_particle_sectors(amps: np.ndarray) -> bool:

@@ -409,8 +409,9 @@ def save_kernel(path: str | Path, model: MarkovModel) -> None:
 
 def load_kernel(path: str | Path) -> MarkovModel:
     """Read a kernel written by :func:`save_kernel`."""
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
-    if not rows or len(rows) < 2:
+    # Blank lines, a trailing one included, are skipped as config files skip them.
+    rows = [row for row in csv.reader(io.StringIO(read_text(path), newline="")) if row]
+    if len(rows) < 2:
         raise ConfigError(f"{path}: empty kernel file")
     header = rows[0]
     states = [name.removeprefix("from_") for name in header[1:]]

@@ -11,7 +11,7 @@ from collapsim.lattice import (
     _jump_operands,
     _pass,
     _ParticleKernels,
-    _reciprocal_norm,
+    _reciprocal_norms,
     _ViewKernels,
     LatticeConfig,
     QuantumState,
@@ -184,6 +184,21 @@ def test_backward_pass_raises_when_the_state_collapses_to_zero(start, particle_k
     assert _in_particle_sectors(state.amplitudes) == particle_kernels
     with pytest.raises(InvalidStateError, match="state collapsed to zero norm"):
         run_backward(config, StochasticField(np.ones((1, 4))), state)
+
+
+def test_batched_backward_pass_raises_when_one_run_collapses_to_zero():
+    # The check over a batch's norms must fail when any one run collapses.
+    # At theta = pi/2 the particle stays on column 1, so the first field is
+    # lawful and the second, all ones on top of it, leaves nothing.
+    config = LatticeConfig(n_columns=4, collapse_x=0.0, theta=math.pi / 2, steps=1)
+    lawful = np.array([[1, 0, 0, 0]])
+    state = single_particle_state(4, 1)
+    run_backward(config, StochasticField(lawful), state)
+    fields = StochasticField(np.stack([lawful, np.ones((1, 4))]))
+    with pytest.raises(InvalidStateError, match="state collapsed to zero norm"):
+        run_backward(config, fields, [state, state])
+    with pytest.raises(InvalidStateError, match="state collapsed to zero norm"):
+        _reciprocal_norms(np.array([[1.0, 0.0], [math.nan, 0.0]], dtype=np.complex128))
 
 
 def test_brickwork_pairing():
@@ -606,8 +621,36 @@ def test_renormalize_matches_division(kind, n_columns):
     amps = _unnormalized_state(kind, n_columns, np.random.default_rng([13, n_columns]))
     norm_squared = float(np.vdot(amps, amps).real)
     expected = amps / math.sqrt(norm_squared)
-    amps *= _reciprocal_norm(amps)
+    amps *= _reciprocal_norms(amps[np.newaxis])[0]
     assert np.array_equal(amps.view(np.float64), expected.view(np.float64))
+
+
+def _assert_norms_match_per_row_vdot(rows):
+    expected = [1.0 / math.sqrt(np.vdot(row, row).real) for row in rows]
+    assert _reciprocal_norms(rows).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("runs", [1, 3, 25])
+@pytest.mark.parametrize("n_columns", [4, 8, 12, 16])
+def test_reciprocal_norms_match_per_row_vdot_on_particle_rows(n_columns, runs):
+    # One np.vecdot over a batch's dense rows against the np.vdot per row
+    # that it replaced, bit for bit, on random vacuum and one-particle rows
+    # scattered into the dense vectors as the particle kernels scatter them.
+    np_rng = np.random.default_rng([41, n_columns, runs])
+    support = np.append(1 << np.arange(n_columns), 0)
+    shape = (runs, n_columns + 1)
+    rows = np.zeros((runs, 1 << n_columns), dtype=np.complex128)
+    rows[:, support] = np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
+    _assert_norms_match_per_row_vdot(rows)
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("n_columns", [14, 16])
+def test_reciprocal_norms_match_per_row_vdot_on_dense_rows(n_columns, runs):
+    # Gaussian vectors wide enough that OpenBLAS may thread each row's sum.
+    np_rng = np.random.default_rng([43, n_columns, runs])
+    shape = (runs, 1 << n_columns)
+    _assert_norms_match_per_row_vdot(np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape))
 
 
 def _halves_jump(amps, n_columns, column, alpha, x):
@@ -636,7 +679,7 @@ def test_jump_pattern_matches_halves_multiply(kind, x, n_columns):
     # differ.  The renormalization and the next link's complex multiply
     # give every such sign back.
     amps = _unnormalized_state(kind, n_columns, np.random.default_rng([29, n_columns]))
-    rescale = _reciprocal_norm(amps)
+    rescale = _reciprocal_norms(amps[np.newaxis])[0]
     for column in range(1, n_columns + 1):
         for alpha in (0, 1):
             expected = amps.copy()

@@ -636,6 +636,22 @@ def test_kernel_round_trip(tmp_path):
     assert np.array_equal(loaded.kernel, model.kernel)
 
 
+def test_load_kernel_skips_blank_lines(tmp_path):
+    # A saved kernel with a trailing blank line loads to the same model, as
+    # an editor that ends the file with an empty line leaves it; a header
+    # followed by blank lines alone is still an empty kernel.
+    model = random_chain(3, np.random.default_rng(50))
+    path = tmp_path / "kernel.csv"
+    save_kernel(path, model)
+    path.write_bytes(path.read_bytes() + b"\r\n")
+    loaded = load_kernel(path)
+    assert loaded.states == model.states
+    assert np.array_equal(loaded.kernel, model.kernel)
+    path.write_text("target,from_a,from_b\r\n\r\n\r\n", newline="")
+    with pytest.raises(ConfigError, match="empty kernel file"):
+        load_kernel(path)
+
+
 def test_save_distribution_contents(tmp_path):
     path = tmp_path / "dist.csv"
     save_distribution(path, TWO_STATE, Distribution(np.array([0.25, 0.75])))
