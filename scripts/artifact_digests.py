@@ -14,7 +14,7 @@ width-8 forward and backward pass from a state with weight in every sector
 ``qmupl-batch`` runs of ``QMUPL_BATCHES``: ``qmupl-ranges`` is long enough to
 span several back-solve ranges, so a change that moves the range edges shows
 there if it moves any row, and ``qmupl-narrow``'s 4000-step ranges of 32 and
-18 runs all take the scalar back-solve.  The byte-identical replay criterion
+18 runs all back-solve on Python floats.  The byte-identical replay criterion
 (criterion 12 in ``tests/test_acceptance.py``) imports ``SMALL_RUNS`` and
 ``digest_lines`` from here and compares two listings.  The script imports
 only the standard library, numpy and the public names of ``collapsim``, so
@@ -55,8 +55,8 @@ SMALL_RUNS = {
 
 
 # Serial qmupl-batch runs whose p-values are digested: one at the default
-# 1000 steps that spans several ranges, and one whose ranges are all narrower
-# than the back-solve's array loop.
+# 1000 steps that spans several ranges, and one whose ranges are all too
+# narrow for the back-solve's array operand.
 QMUPL_BATCHES = {
     "qmupl-ranges": ("--runs", "300", "--n-steps", "1000"),
     "qmupl-narrow": ("--runs", "50", "--n-steps", "4000"),

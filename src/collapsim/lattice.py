@@ -311,6 +311,8 @@ def apply_vertex(state: QuantumState, i: int, theta: float) -> QuantumState:
     n = state.n_columns
     if not 1 <= i <= n:
         raise DimensionError(f"vertex column must lie in 1..{n}, got {i}")
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta must be finite, got {theta}")
     amps = state.amplitudes.copy()
     _vertex_inplace(*_vertex_blocks(amps, n, i), *_vertex_constants(theta))
     return QuantumState(amps)

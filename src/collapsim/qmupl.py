@@ -27,12 +27,11 @@ forward time: the forward run's ``z`` is the record it wrote, the
 back-solve's the record it consumed.
 
 The recursions are computed in the order of the step-by-step updates, so
-every value rounds exactly as the scalar recursion would: the forward run
-as running sums (``np.add.accumulate``), the back-solve of a batch as one
-loop over steps with numpy over runs, reading and writing one column of
-run-major ``(runs, n)`` arrays per step.  A batch too narrow to pay for that
-loop's numpy calls back-solves each run's increments on Python floats and
-rebuilds its ``x`` and ``p`` with the forward run's running sums.
+every value rounds exactly as the scalar recursion would.  The forward run
+is two running sums (``np.add.accumulate``).  The back-solve is one loop
+that solves the increments, last first, on Python floats run by run for a
+narrow batch and on arrays over runs for a wide one; the forward run's sums,
+marched from the anchor, then rebuild each run's ``x`` and ``p``.
 
 If the implied increments ``dB'`` pass a normality test at scale
 ``sqrt(dt)``, the record is statistically indistinguishable from one
@@ -167,14 +166,10 @@ def reverse_trajectory(
 
     One call also back-solves a batch: a ``(runs, n)`` record with ``(runs,)``
     end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
-    bit for bit what row ``r`` alone gives.  Both back-solve widths fill one
-    result, run-major ``(runs, n + 1)`` arrays ``x`` and ``p`` and a
-    ``(runs, n)`` array ``dB``, so a batch holds its record and these three
-    arrays and no other copy.  From ``_ARRAY_RUNS`` runs on the loop runs
-    over steps, with numpy over runs: step ``i`` reads column ``i`` of the
-    record and writes column views of the result.  A narrower batch, one run
-    included, loops over each run's steps on Python floats and writes a row
-    per run.
+    bit for bit what row ``r`` alone gives.  A batch holds its record and
+    the three run-major result arrays and no other copy of that size.
+    ``_back_solve`` solves the increments once per run on Python floats
+    below ``_ARRAY_RUNS`` runs, and once on arrays over runs from there on.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
@@ -188,70 +183,57 @@ def reverse_trajectory(
             f"end points must have shape {runs}, got {x_end.shape} and {p_end.shape}"
         )
     record = centres.reshape(-1, n)
-    xs = np.empty((record.shape[0], n + 1))
-    ps = np.empty_like(xs)
+    x_anchor = x_end.ravel()
+    p_anchor = -p_end.ravel()
     steps = np.empty(record.shape)
     if record.shape[0] < _ARRAY_RUNS:
-        anchors = zip(record, x_end.ravel().tolist(), p_end.ravel().tolist())
-        for row, (centres_row, x, p) in enumerate(anchors):
-            # The back-solve marches from the anchor with the increments it
-            # solves for, so the march rebuilds x and p with their roundings.
-            increments = np.fromiter(_back_solve(centres_row.tolist(), x, p, config), float, n)
-            march_x, march_p = _march(x, -p, increments, config)
-            xs[row], ps[row], steps[row] = march_x[::-1], march_p[::-1], increments[::-1]
+        anchors = zip(steps, record, x_anchor.tolist(), p_anchor.tolist())
+        for out, centres_row, x, p in anchors:
+            _back_solve(centres_row.tolist(), x, p, config, memoryview(out))
     else:
-        m, dt = config.m, config.dt
-        sqrt_m = math.sqrt(m)
-        g_dt = config.g * dt
-        half_g = 0.5 * config.g
-        xs[:, n] = x_end
-        np.negative(p_end, out=ps[:, n])
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n - 1, -1, -1):
-                x, p, step, x_prev, p_prev = xs[:, i + 1], ps[:, i + 1], steps[:, i], xs[:, i], ps[:, i]
-                # step = g dt (z - x); x' = x + (p / m) dt + step / sqrt(m); p' = p + (g / 2) step
-                np.subtract(record[:, i], x, out=step)
-                np.multiply(g_dt, step, out=step)
-                np.divide(p, m, out=x_prev)
-                np.multiply(x_prev, dt, out=x_prev)
-                np.add(x, x_prev, out=x_prev)
-                np.divide(step, sqrt_m, out=p_prev)
-                np.add(x_prev, p_prev, out=x_prev)
-                np.multiply(half_g, step, out=p_prev)
-                np.add(p, p_prev, out=p_prev)
+            _back_solve(record.T, x_anchor, p_anchor, config, steps.T)
+    # The back-solve marches from the anchor with the increments it solves
+    # for, so the march rebuilds x and p with their roundings.
+    xs = np.empty((record.shape[0], n + 1))
+    ps = np.empty_like(xs)
+    for row, increments in enumerate(steps):
+        march_x, march_p = _march(x_anchor[row], p_anchor[row], increments[::-1], config)
+        xs[row], ps[row] = march_x[::-1], march_p[::-1]
     return WavePacketTrajectory(
         x=xs.reshape(*runs, -1), p=ps.reshape(*runs, -1), z=centres, dB=steps.reshape(*runs, -1)
     )
 
 
-# Fewest runs for which the back-solve's step loop runs on arrays.  Its nine
-# ufunc calls per step, on strided columns, cost about as much as this many
-# runs of the scalar loop do: the two paths took equal time at 30 to 40 runs
-# in timeit runs at 200 and 1000 steps.  Lone runs and the narrow ranges of
-# long --n-steps batches take the scalar loop (qmupl-batch's range cap gives
-# 12 runs per range at 10 000 steps and 1 at 100 000); on arrays they would
-# pay the nine ufunc calls per step for a handful of runs.
+# Fewest runs for which the back-solve runs on arrays over runs.  Its nine
+# ufunc calls per step cost about as much as this many runs on Python floats
+# do: the two operand types took equal time at 30 to 35 runs in timeit runs
+# at 200 and 1000 steps (2 vCPUs, numpy 2.4).  Lone runs and the narrow
+# ranges of long --n-steps batches take floats (qmupl-batch's range cap
+# gives 12 runs per range at 10 000 steps and 1 at 100 000); on arrays they
+# would pay the nine calls per step for a few runs.
 _ARRAY_RUNS = 35
 
 
-def _back_solve(centres: list, x_n: float, p_n: float, config: QmuplConfig) -> list:
-    """One run's increments ``dB'``, from the last down, on Python floats.
+def _back_solve(centres, x, p, config: QmuplConfig, steps) -> None:
+    """Write the increments ``dB'`` solved from the anchor ``(x, p)`` into ``steps``.
 
-    The operations are the array loop's, so the values are too; an overflow
-    gives inf or NaN quietly, as there.
+    Step ``i = n - 1 .. 0`` reads ``centres[i]`` and writes ``steps[i]``.  The
+    operands are one run's Python floats, its record as a list and a
+    memoryview of its ``dB`` row (which frees each float as it is stored),
+    or a batch's arrays over runs: the transposed ``(n, runs)`` record and
+    increments, with ``(runs,)`` anchors.  Both round alike, and an overflow
+    gives inf or NaN, quietly on arrays once the caller silences numpy.
     """
     m, dt = config.m, config.dt
     sqrt_m = math.sqrt(m)
     g_dt = config.g * dt
     half_g = 0.5 * config.g
-    x, p = x_n, -p_n
-    steps = []
-    for z in reversed(centres):
-        step = g_dt * (z - x)
+    for i in range(len(steps) - 1, -1, -1):
+        step = g_dt * (centres[i] - x)
         x = x + (p / m) * dt + step / sqrt_m
         p = p + half_g * step
-        steps.append(step)
-    return steps
+        steps[i] = step
 
 
 def normality_test(increments: Sequence[float], dt: float) -> TestReport:

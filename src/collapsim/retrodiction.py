@@ -409,22 +409,24 @@ def save_kernel(path: str | Path, model: MarkovModel) -> None:
 
 def load_kernel(path: str | Path) -> MarkovModel:
     """Read a kernel written by :func:`save_kernel`."""
-    # Blank lines, a trailing one included, are skipped as config files skip them.
-    rows = [row for row in csv.reader(io.StringIO(read_text(path), newline="")) if row]
+    # Blank lines, a trailing one included, are skipped as config files skip
+    # them; a bad row names its line in the file, as config files do.
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise ConfigError(f"{path}: empty kernel file")
-    header = rows[0]
+    header = rows[0][1]
     states = [name.removeprefix("from_") for name in header[1:]]
     if len(rows) - 1 != len(states):
         raise ConfigError(f"{path}: kernel must be square, got {len(rows) - 1} rows x {len(states)} columns")
     kernel = np.empty((len(states), len(states)))
-    for j, row in enumerate(rows[1:]):
+    for j, (line, row) in enumerate(rows[1:]):
         if len(row) != len(states) + 1 or row[0] != states[j]:
-            raise ConfigError(f"{path}: row {j + 2} does not match header state order")
+            raise ConfigError(f"{path}:{line}: row does not match header state order")
         try:
             kernel[j, :] = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise ConfigError(f"{path}: row {j + 2}: {exc}") from None
+            raise ConfigError(f"{path}:{line}: {exc}") from None
     return MarkovModel(states=tuple(states), kernel=kernel)
 
 

@@ -860,7 +860,7 @@ QMUPL_PARAMS = {"g": 20.0, "mass": 1.0, "dt": 0.001, "n_steps": 1000}
 @pytest.mark.parametrize("workers", [1, 2])
 def test_qmupl_batch_rows_match_a_one_run_oracle(workers):
     # 267 runs at 1000 steps in ranges of 128, 128 and 11 runs; the last is
-    # narrower than _ARRAY_RUNS, so both back-solve paths run.  Every row
+    # narrower than _ARRAY_RUNS, so both back-solve operands run.  Every row
     # must equal the one-run simulate_forward / reverse_trajectory loop,
     # scored by the element-loop KS test with a scalar normal CDF.
     params = {"seed": 31, "runs": 267, "workers": workers, **QMUPL_PARAMS}

@@ -122,6 +122,8 @@ _PAIR = build_basis_state((1, 0))
     [
         (lambda: pattern_to_index((0, 2)), DimensionError),
         (lambda: apply_vertex(_PAIR, 3, 0.3), DimensionError),
+        (lambda: apply_vertex(_PAIR, 1, math.nan), ConfigError),
+        (lambda: apply_vertex(_PAIR, 1, math.inf), ConfigError),
         (lambda: apply_jump(_PAIR, 0, 1, 0.5), DimensionError),
         (lambda: apply_jump(_PAIR, 1, 2, 0.5), DimensionError),
         (lambda: apply_jump(_PAIR, 1, 1, 1.5), ConfigError),
@@ -134,7 +136,7 @@ _PAIR = build_basis_state((1, 0))
         (lambda: vertex_columns(0, 4, 3), DimensionError),
     ],
     ids=[
-        "bad-bit", "vertex-column", "jump-column", "jump-alpha", "jump-x",
+        "bad-bit", "vertex-column", "vertex-theta-nan", "vertex-theta-inf", "jump-column", "jump-alpha", "jump-x",
         "probability-x", "probability-x-nan",
         "occupancy-column", "occupancy-zero-state", "negative-step",
         "vertex-zero", "vertex-past-ring",

@@ -538,12 +538,12 @@ def test_float_recursions_match_element_loops(n):
                 assert_same_bytes(fast_array, slow_array)
 
         # The same back-solves as one call over index + 1 runs (one run for
-        # the first config), which loops over each run on Python floats, and
-        # over _ARRAY_RUNS + index runs, which loops over steps on arrays.
-        # Every row must equal its one-run call and the element loop byte
-        # for byte, also the last row of a batch, whose anchor overflows the
-        # recursion to inf and then NaN, quietly.
-        for runs in (index + 1, _ARRAY_RUNS + index):
+        # the first config) and _ARRAY_RUNS - 1 runs, which solve each run on
+        # Python floats, and over _ARRAY_RUNS + index runs, which solve all
+        # runs at once on arrays.  Every row must equal its one-run call and
+        # the element loop byte for byte, also the last row of a batch, whose
+        # anchor overflows the recursion to inf and then NaN, quietly.
+        for runs in (index + 1, _ARRAY_RUNS - 1, _ARRAY_RUNS + index):
             records = np.array([(trajectory.z, replay.z)[r % 2] for r in range(runs)])
             x_ends = np.array([trajectory.x[-1]] + [0.3 * r - 1.0 for r in range(1, runs)])
             p_ends = np.array([trajectory.p[-1]] + [2.5 - r for r in range(1, runs)])

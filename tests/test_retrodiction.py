@@ -675,6 +675,13 @@ def test_load_kernel_rejects_malformed_files(tmp_path):
     bad.write_text("target,from_a,from_b\na,0.5,oops\nb,0.5,0.5\n")
     with pytest.raises(ConfigError):
         load_kernel(bad)
+    # A blank line above a bad row: the error names the row's line in the file.
+    bad.write_bytes(b"target,from_A,from_B\r\n\r\nA,0.9,0.1\r\nB,0.1,x\r\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv:4: could not convert string to float: 'x'"):
+        load_kernel(bad)
+    bad.write_bytes(b"target,from_A,from_B\r\n\r\nA,0.9,0.1\r\nC,0.1,0.9\r\n")
+    with pytest.raises(ConfigError, match=r"bad\.csv:4: row does not match header state order"):
+        load_kernel(bad)
     bad.write_bytes(b"target,from_a,from_b\na,0.5,0.5\nb,0.5,0.5\xff\n")
     with pytest.raises(ConfigError, match=r"bad\.csv: not UTF-8 text \(byte 40\)"):
         load_kernel(bad)
