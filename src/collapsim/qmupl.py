@@ -29,9 +29,8 @@ back-solve's the record it consumed.
 The recursions are computed in the order of the step-by-step updates, so
 every value rounds exactly as the scalar recursion would.  The forward run
 is two running sums (``np.add.accumulate``).  The back-solve is one loop
-that solves the increments, last first, on Python floats run by run for a
-narrow batch and on arrays over runs for a wide one; the forward run's sums,
-marched from the anchor, then rebuild each run's ``x`` and ``p``.
+that solves the positions, last first, on floats per run or on arrays over
+a wide batch; array calls then give the increments and the momentum sum.
 
 If the implied increments ``dB'`` pass a normality test at scale
 ``sqrt(dt)``, the record is statistically indistinguishable from one
@@ -129,26 +128,23 @@ def simulate_forward(
         dB = np.asarray(increments, dtype=float)
         if dB.shape != (n,):
             raise DimensionError(f"increments must have shape ({n},), got {dB.shape}")
-    x, p = _march(config.x0, config.p0, dB, config)
+    p = np.empty(n + 1)
+    terms = np.empty(2 * n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        _momenta(config.p0, dB, config, p)
+        terms[0] = config.x0
+        terms[1::2] = (p[:-1] / config.m) * config.dt
+        terms[2::2] = dB / math.sqrt(config.m)
+        x = np.add.accumulate(terms)[::2].copy()
         z = x[:-1] + dB / (config.g * config.dt)
     return WavePacketTrajectory(x=x, p=p, z=z, dB=dB)
 
 
-def _march(x0: float, p0: float, dB: np.ndarray, config: QmuplConfig) -> tuple:
-    """``x`` and ``p`` of the recursion from ``(x0, p0)`` driven by ``dB``, as two running sums."""
-    n = dB.size
-    m, dt = config.m, config.dt
-    terms = np.empty(2 * n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms[0] = p0
-        np.multiply(0.5 * config.g, dB, out=terms[1 : n + 1])
-        p = np.add.accumulate(terms[: n + 1])
-        terms[0] = x0
-        terms[1::2] = (p[:-1] / m) * dt
-        terms[2::2] = dB / math.sqrt(m)
-        x = np.add.accumulate(terms)[::2].copy()
-    return x, p
+def _momenta(p0, dB: np.ndarray, config: QmuplConfig, out: np.ndarray) -> None:
+    """Write ``p0`` and its running sum of ``(g / 2) dB`` into ``out``, one longer than ``dB``."""
+    out[..., 0] = p0
+    np.multiply(0.5 * config.g, dB, out=out[..., 1:])
+    np.add.accumulate(out, axis=-1, out=out)
 
 
 def reverse_trajectory(
@@ -168,14 +164,17 @@ def reverse_trajectory(
     end points gives ``(runs, n + 1)`` and ``(runs, n)`` arrays, row ``r``
     bit for bit what row ``r`` alone gives.  A batch holds its record and
     the three run-major result arrays and no other copy of that size.
-    ``_back_solve`` solves the increments once per run on Python floats
-    below ``_ARRAY_RUNS`` runs, and once on arrays over runs from there on.
+    ``_back_solve`` solves the positions, per run on Python floats below
+    ``_ARRAY_RUNS`` runs and on arrays over runs from there on; array calls
+    over the batch then give the increments and momenta in the loop's order.
     """
     centres = np.asarray(z, dtype=float)
     n = config.n
     if centres.shape[-1:] != (n,) or centres.ndim > 2:
         raise DimensionError(f"centres must have shape ({n},) or (runs, {n}), got {centres.shape}")
     runs = centres.shape[:-1]
+    if runs == (0,):
+        raise DimensionError("a batch of runs needs at least one run")
     x_end = np.asarray(x_n, dtype=float)
     p_end = np.asarray(p_n, dtype=float)
     if x_end.shape != runs or p_end.shape != runs:
@@ -185,55 +184,49 @@ def reverse_trajectory(
     record = centres.reshape(-1, n)
     x_anchor = x_end.ravel()
     p_anchor = -p_end.ravel()
-    steps = np.empty(record.shape)
-    if record.shape[0] < _ARRAY_RUNS:
-        anchors = zip(steps, record, x_anchor.tolist(), p_anchor.tolist())
-        for out, centres_row, x, p in anchors:
-            _back_solve(centres_row.tolist(), x, p, config, memoryview(out))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _back_solve(record.T, x_anchor, p_anchor, config, steps.T)
-    # The back-solve marches from the anchor with the increments it solves
-    # for, so the march rebuilds x and p with their roundings.
     xs = np.empty((record.shape[0], n + 1))
     ps = np.empty_like(xs)
-    for row, increments in enumerate(steps):
-        march_x, march_p = _march(x_anchor[row], p_anchor[row], increments[::-1], config)
-        xs[row], ps[row] = march_x[::-1], march_p[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if record.shape[0] < _ARRAY_RUNS:
+            anchors = zip(xs, record, x_anchor.tolist(), p_anchor.tolist())
+            for positions, centres_row, x, p in anchors:
+                _back_solve(centres_row.tolist(), x, p, config, memoryview(positions))
+        else:
+            _back_solve(record.T, x_anchor, p_anchor, config, xs.T)
+        steps = np.subtract(record, xs[:, 1:])
+        np.multiply(config.g * config.dt, steps, out=steps)
+        _momenta(p_anchor, steps[:, ::-1], config, ps[:, ::-1])
     return WavePacketTrajectory(
         x=xs.reshape(*runs, -1), p=ps.reshape(*runs, -1), z=centres, dB=steps.reshape(*runs, -1)
     )
 
 
-# Fewest runs for which the back-solve runs on arrays over runs.  Its nine
-# ufunc calls per step cost about as much as this many runs on Python floats
-# do: the two operand types took equal time at 30 to 35 runs in timeit runs
-# at 200 and 1000 steps (2 vCPUs, numpy 2.4).  Lone runs and the narrow
-# ranges of long --n-steps batches take floats (qmupl-batch's range cap
-# gives 12 runs per range at 10 000 steps and 1 at 100 000); on arrays they
-# would pay the nine calls per step for a few runs.
+# Fewest runs for which the back-solve runs on arrays: its nine ufunc calls
+# per step cost as much as this many runs on Python floats (equal time at 30
+# to 40 runs at 200 and 1000 steps; timeit, 2 vCPUs, numpy 2.4).  Lone runs and
+# the narrow ranges of long batches (12 runs at 10 000 steps) take floats.
 _ARRAY_RUNS = 35
 
 
-def _back_solve(centres, x, p, config: QmuplConfig, steps) -> None:
-    """Write the increments ``dB'`` solved from the anchor ``(x, p)`` into ``steps``.
+def _back_solve(centres, x, p, config: QmuplConfig, positions) -> None:
+    """Write the positions ``x'`` solved from the anchor ``(x, p)`` into ``positions``.
 
-    Step ``i = n - 1 .. 0`` reads ``centres[i]`` and writes ``steps[i]``.  The
-    operands are one run's Python floats, its record as a list and a
-    memoryview of its ``dB`` row (which frees each float as it is stored),
-    or a batch's arrays over runs: the transposed ``(n, runs)`` record and
-    increments, with ``(runs,)`` anchors.  Both round alike, and an overflow
-    gives inf or NaN, quietly on arrays once the caller silences numpy.
+    The anchor goes into ``positions[n]``; step ``i = n - 1 .. 0`` reads
+    ``centres[i]`` and writes ``positions[i]``.  The operands are one run's
+    floats, record list and ``x`` row memoryview (which frees each float as
+    it is stored), or a batch's transposed record and positions with
+    ``(runs,)`` anchors; both round alike and overflow to inf or NaN.
     """
     m, dt = config.m, config.dt
     sqrt_m = math.sqrt(m)
     g_dt = config.g * dt
     half_g = 0.5 * config.g
-    for i in range(len(steps) - 1, -1, -1):
+    positions[len(centres)] = x
+    for i in range(len(centres) - 1, -1, -1):
         step = g_dt * (centres[i] - x)
         x = x + (p / m) * dt + step / sqrt_m
         p = p + half_g * step
-        steps[i] = step
+        positions[i] = x
 
 
 def normality_test(increments: Sequence[float], dt: float) -> TestReport:

@@ -195,8 +195,12 @@ def _gamma_p_series(a: float, x: float) -> float:
 def _gamma_q_contfrac(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a + 1).
 
-    Modified Lentz evaluation of the standard continued fraction.
+    Modified Lentz evaluation of the standard continued fraction.  A prefactor
+    that underflows gives 0 at once: from about x = 2^53, ``b`` stops moving.
     """
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if prefactor == 0.0:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -215,7 +219,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * prefactor
     raise ArithmeticError(f"incomplete gamma continued fraction failed to converge (a={a}, x={x})")
 
 
@@ -227,6 +231,8 @@ def regularized_gamma_q(a: float, x: float) -> float:
         raise ValueError(f"argument must be non-negative, got {x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < a + 1.0:
         return 1.0 - _gamma_p_series(a, x)
     return _gamma_q_contfrac(a, x)

@@ -626,9 +626,10 @@ def test_prng_driven_artifacts_match_golden_digests(tmp_path):
     These three experiments are functions of the PRNG's draws and call no
     BLAS, so ``golden/artifact_digests.json`` holds their digests from
     ``scripts/artifact_digests.py 1 123`` on any host, with those of its two
-    serial ``qmupl-batch`` lines, ``qmupl-ranges`` and ``qmupl-narrow``.  The
-    lattice and Markov artifacts are left out, because their bytes depend on
-    the host's OpenBLAS kernel.  A change that declares a byte change to these
+    serial ``qmupl-batch`` lines, ``qmupl-ranges`` and ``qmupl-narrow``, and
+    of its ``qmupl-backsolve`` line, the ``x``, ``p`` and ``dB`` of batch
+    back-solves.  The lattice and Markov artifacts are left out, because
+    their bytes depend on the host's OpenBLAS kernel.  A change that declares a byte change to these
     experiments regenerates the file from the script's lines for them.
     """
     golden = json.loads((GOLDEN / "artifact_digests.json").read_text())
@@ -636,7 +637,8 @@ def test_prng_driven_artifacts_match_golden_digests(tmp_path):
     for line in digest_lines(["1", "123"], tmp_path):
         digest, path = line.split("  ")
         if path.split("/")[1] in (
-            "qmupl-run", "qmupl-batch", "energy-demo", "qmupl-ranges", "qmupl-narrow"
+            "qmupl-run", "qmupl-batch", "energy-demo", "qmupl-ranges", "qmupl-narrow",
+            "qmupl-backsolve",
         ):
             digests[path] = digest
     assert digests == golden

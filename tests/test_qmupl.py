@@ -250,6 +250,8 @@ def test_reverse_trajectory_validates_centre_shape():
         reverse_trajectory(np.zeros((3, 1000)), np.zeros(2), np.zeros(3), CONFIG)
     with pytest.raises(DimensionError, match=r"end points must have shape \(\), got \(\) and \(1,\)"):
         reverse_trajectory(np.zeros(1000), 0.0, np.zeros(1), CONFIG)
+    with pytest.raises(DimensionError, match="at least one run"):
+        reverse_trajectory(np.empty((0, 1000)), np.empty(0), np.empty(0), CONFIG)
 
 
 # ----------------------------------------------------------------------
@@ -530,8 +532,16 @@ def test_float_recursions_match_element_loops(n):
             assert_same_bytes(fast_array, slow_array)
         assert n < 7 or (np.isnan(overflow.x).any() and np.isnan(overflow.p).any())
 
-        # Back-solve from the forward end point and from an arbitrary one.
-        for x_n, p_n in ((trajectory.x[-1], trajectory.p[-1]), (0.3 * index - 1.0, -2.5)):
+        # Back-solve from the forward end point and from arbitrary ones: two
+        # signed zeros, whose sign bits the flipped anchor must keep, and the
+        # point whose increments the KS test below reads.
+        anchors = (
+            (trajectory.x[-1], trajectory.p[-1]),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (0.3 * index - 1.0, -2.5),
+        )
+        for x_n, p_n in anchors:
             back = reverse_trajectory(trajectory.z, x_n, p_n, config)
             slow = slow_reverse_trajectory(trajectory.z, x_n, p_n, config)
             for fast_array, slow_array in zip((back.x, back.p, back.dB), slow):
@@ -540,13 +550,17 @@ def test_float_recursions_match_element_loops(n):
         # The same back-solves as one call over index + 1 runs (one run for
         # the first config) and _ARRAY_RUNS - 1 runs, which solve each run on
         # Python floats, and over _ARRAY_RUNS + index runs, which solve all
-        # runs at once on arrays.  Every row must equal its one-run call and
-        # the element loop byte for byte, also the last row of a batch, whose
-        # anchor overflows the recursion to inf and then NaN, quietly.
-        for runs in (index + 1, _ARRAY_RUNS - 1, _ARRAY_RUNS + index):
+        # runs at once on arrays; each width is capped at 64 runs.  Every row
+        # must equal its one-run call and the element loop byte for byte, also
+        # the second row of a wider batch, anchored at signed zeros, and the
+        # last row of a batch, whose anchor overflows the recursion to inf
+        # and then NaN, quietly.
+        for runs in (index + 1, min(_ARRAY_RUNS - 1, 64), min(_ARRAY_RUNS + index, 64)):
             records = np.array([(trajectory.z, replay.z)[r % 2] for r in range(runs)])
             x_ends = np.array([trajectory.x[-1]] + [0.3 * r - 1.0 for r in range(1, runs)])
             p_ends = np.array([trajectory.p[-1]] + [2.5 - r for r in range(1, runs)])
+            if runs > 2:
+                x_ends[1], p_ends[1] = 0.0, -0.0
             if runs > 1:
                 x_ends[-1], p_ends[-1] = HUGE, -HUGE
             with warnings.catch_warnings():

@@ -257,14 +257,14 @@ def test_split_before_and_after_draws_matches_scalar_oracle():
 
 def test_regularized_gamma_q_against_scipy():
     for a in (0.5, 1.0, 2.5, 10.0, 50.0):
-        for x in (0.01, 0.5, 1.0, 3.0, 10.0, 80.0):
+        for x in (0.01, 0.5, 1.0, 3.0, 10.0, 80.0, 1e21, 1e300, math.inf):
             expected = scipy.stats.gamma.sf(x, a)
             assert regularized_gamma_q(a, x) == pytest.approx(expected, abs=1e-12, rel=1e-10)
 
 
 def test_chi_squared_sf_against_scipy():
     for dof in (1, 2, 3, 5, 9, 20, 100):
-        for x in (0.0, 0.5, 1.0, 4.0, 15.0, 60.0, 200.0):
+        for x in (0.0, 0.5, 1.0, 4.0, 15.0, 60.0, 200.0, 1e21, 1e300, math.inf):
             expected = scipy.stats.chi2.sf(x, dof)
             assert chi_squared_sf(x, dof) == pytest.approx(expected, abs=1e-12, rel=1e-9)
 
